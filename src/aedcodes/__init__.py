@@ -17,8 +17,8 @@ from .decoders import (L_MAX, Bp, DecodeOutput, Sc, Scl, bp_decode_batch,
                        sc_decode_batch, scl_decode, scl_decode_batch)
 from .ensemble import (CandidateSet, EnsembleConfig, VerificationReport,
                        aed_decode, conjugated_sc_branch, decode_branches,
-                       ensemble_manifest, verify_lta_absorption,
-                       verify_lta_commutation)
+                       decoder_from_dict, select_winners,
+                       verify_lta_absorption, verify_lta_commutation)
 from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, format_csv_row,
                          ml_decode_oracle, run_mc, transmit)
 

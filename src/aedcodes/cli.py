@@ -20,8 +20,7 @@ from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
 from .decoders import Bp, Sc, Scl, sc_decode
-from .ensemble import (EnsembleConfig, constituent_from_dict,
-                       constituent_to_dict, ensemble_manifest,
+from .ensemble import (EnsembleConfig, decoder_from_dict,
                        verify_lta_absorption, verify_lta_commutation)
 from .simulation import CSV_HEADER, ChannelConfig, format_csv_row, run_mc
 
@@ -177,18 +176,6 @@ def _build_decoder(args):
                           seed=args.seed)
 
 
-def _decoder_from_manifest(d: dict):
-    if "ensemble" in d:
-        e = d["ensemble"]
-        return EnsembleConfig(size=int(e["M"]), subgroup=e["subgroup"],
-                              constituent=constituent_from_dict(e["constituent"]),
-                              resample_per_frame=bool(e["resample_per_frame"]),
-                              seed=int(e["seed"]),
-                              dedupe=bool(e.get("dedupe", True)),
-                              include_identity=bool(e.get("include_identity", False)))
-    return constituent_from_dict(d["constituent"])
-
-
 def _spec_from_manifest(d: dict) -> CodeSpec:
     c = d["code"]
     if c.get("rm") is not None:
@@ -202,7 +189,8 @@ def cmd_simulate(args) -> int:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             man = json.load(fh)
         spec = _spec_from_manifest(man)
-        decoder = _decoder_from_manifest(man)
+        decoder = decoder_from_dict(man["ensemble"] if "ensemble" in man
+                                    else man["constituent"])
         grid = list(man["ebn0_grid"])
         frames = man["frames"]
         target = man["target_errors"]
@@ -232,10 +220,9 @@ def cmd_simulate(args) -> int:
             "ebn0_grid": grid, "frames": frames, "target_errors": target,
             "seed": seed, "all_zero": all_zero,
         }
-        if isinstance(decoder, EnsembleConfig):
-            man["ensemble"] = {**ensemble_manifest(decoder, spec.m)}
-        else:
-            man["constituent"] = constituent_to_dict(decoder)
+        section = decoder.to_dict(spec.m)
+        # an ensemble's section nests its constituent's
+        man["ensemble" if "constituent" in section else "constituent"] = section
         path = args.manifest_out or "aedcodes-run.manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(man, fh, indent=2)

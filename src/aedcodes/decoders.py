@@ -11,7 +11,7 @@ independently, so per-row results never depend on how calls are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,15 +24,29 @@ _BP_ROW_SLAB = 2048  # cache-friendly upper bound on rows per BP workspace
 # ---------------------------------------------------------------------------
 # decoder configurations (used by the ensemble and simulation layers)
 
+class _PlainConfig:
+    """Members the plain decoder configurations share with EnsembleConfig.
+
+    descriptor is the (kind, subgroup, M, L) of a result row: plain decoders
+    carry subgroup "-" and M = 0, and L is the list size (1 for SC, 0 for
+    BP).  to_dict(m) is the manifest form that decoder_from_dict rebuilds;
+    m, the code's log-length, matters only to fixed ensembles.
+    """
+
+    def to_dict(self, m: int) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+
 @dataclass(frozen=True)
-class Sc:
+class Sc(_PlainConfig):
     """Plain successive cancellation."""
 
     kind = "sc"
+    descriptor = (kind, "-", 0, 1)
 
 
 @dataclass(frozen=True)
-class Scl:
+class Scl(_PlainConfig):
     """Successive cancellation list decoding with `list_size` paths."""
 
     list_size: int = 8
@@ -42,15 +56,20 @@ class Scl:
         if self.list_size < 1:
             raise ValueError("list_size must be >= 1")
 
+    @property
+    def descriptor(self) -> tuple[str, str, int, int]:
+        return self.kind, "-", 0, self.list_size
+
 
 @dataclass(frozen=True)
-class Bp:
+class Bp(_PlainConfig):
     """Iterative decoding with an optional generator-matrix stopping test."""
 
     max_iters: int = 200
     stopping: bool = True
     reduce_graph: bool = False
     kind = "bp"
+    descriptor = (kind, "-", 0, 0)
 
     def __post_init__(self):
         if self.max_iters < 1:

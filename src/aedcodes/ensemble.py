@@ -5,13 +5,13 @@ the SC/permutation commutation properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .automorphisms import (AffineAutomorphism, compile_permutation, compose,
-                            format_automorphism, mlup_decompose, sample,
-                            sample_ensemble)
+from .automorphisms import (AffineAutomorphism, compile_permutation,
+                            compile_tables, compose, format_automorphism,
+                            mlup_decompose, sample, sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
 from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
                        scl_decode_batch)
@@ -27,6 +27,9 @@ class EnsembleConfig:
     With resample_per_frame the automorphisms are redrawn for every decoded
     frame (seeded by frame position); otherwise one fixed set is drawn from
     `seed`.  dedupe forces pairwise-distinct compiled permutations.
+
+    kind, descriptor and to_dict(m) are shared with the plain configs: the
+    kind and list size are the constituent's, subgroup and M the ensemble's.
     """
 
     size: int
@@ -36,10 +39,32 @@ class EnsembleConfig:
     seed: int = 0
     dedupe: bool = True
     include_identity: bool = False
+    # manifest key -> (field, type), in manifest order
+    _KEYS = {"seed": ("seed", int), "subgroup": ("subgroup", str),
+             "M": ("size", int), "resample_per_frame": ("resample_per_frame", bool),
+             "dedupe": ("dedupe", bool), "include_identity": ("include_identity", bool)}
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("ensemble size must be >= 1")
+
+    @property
+    def kind(self) -> str:
+        return self.constituent.kind
+
+    @property
+    def descriptor(self) -> tuple[str, str, int, int]:
+        return self.kind, self.subgroup, self.size, self.constituent.descriptor[3]
+
+    def to_dict(self, m: int) -> dict:
+        """Manifest form; a fixed ensemble also lists its automorphisms in
+        the text format (replay draws them again from `seed`)."""
+        out = {key: getattr(self, name) for key, (name, _) in self._KEYS.items()}
+        out["constituent"] = self.constituent.to_dict(m)
+        if not self.resample_per_frame:
+            out["automorphisms"] = [format_automorphism(a)
+                                    for a in self.sample_automorphisms(m)]
+        return out
 
     def sample_automorphisms(self, m: int, rng=None) -> list[AffineAutomorphism]:
         if rng is None:
@@ -56,8 +81,9 @@ class CandidateSet:
     x holds the de-interleaved codeword estimates, scores the correlations
     sum_i (-1)^x_i * y_i (-inf for unused list slots), branch the
     originating decoder index (candidates of an SCL constituent share a
-    branch).  iterations carries the per-branch BP iteration counts (1 for
-    SC/SCL).
+    branch).  Candidates are ordered by branch, then by SCL list slot, and
+    the winner is the lowest-index candidate of maximal score.  iterations
+    carries the per-candidate BP iteration counts (1 for SC/SCL).
     """
 
     x: np.ndarray
@@ -77,9 +103,10 @@ def aed_decode(spec: CodeSpec, y, llr, cfg: EnsembleConfig,
 
     Branch j decodes the interleaved input apply(pi_j, llr) and its codeword
     estimate is de-interleaved with pi_j^{-1}.  The winner maximises the
-    correlation to the received vector y; ties go to the lowest branch
-    index, then the lexicographically smallest codeword.  Returns the winner
-    estimate, its candidate index and the full candidate set.
+    correlation to the received vector y (select_winners); ties go to the
+    lowest candidate index, that is the lowest branch and then the lowest
+    SCL list slot.  Returns the winner estimate, its candidate index and the
+    full candidate set.
     """
     if len(perms) == 0:
         raise ValueError("ensemble needs at least one automorphism")
@@ -90,25 +117,28 @@ def aed_decode(spec: CodeSpec, y, llr, cfg: EnsembleConfig,
     if y.shape != (spec.n,) or llr.shape != (spec.n,):
         raise ValueError(f"y and llr must have length {spec.n}")
 
-    tables = np.stack([compile_permutation(p).table for p in perms])
-    x_de, branch, iters, valid = decode_branches(spec, llr[None, :], tables,
+    x_de, branch, iters, valid = decode_branches(spec, llr[None, :],
+                                                 compile_tables(perms),
                                                  cfg.constituent)
-    x_de, branch, iters, valid = x_de[0], branch[0], iters[0], valid[0]
-    scores = (1.0 - 2.0 * x_de.astype(np.float64)) @ y
+    win, scores = select_winners(x_de, valid, y[None, :])
+    winner = int(win[0])
+    return x_de[0, winner], winner, CandidateSet(
+        x=x_de[0], scores=scores[0], branch=branch[0],
+        permutations=list(perms), iterations=iters[0])
+
+
+def select_winners(x: np.ndarray, valid: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Best-correlation candidate of every frame.
+
+    x holds candidates (F, C, N), valid their (F, C) mask and y the received
+    vectors (F, N).  Scores are sum_i (-1)^x_i * y_i, -inf for invalid
+    slots; the winner is the lowest candidate index of maximal score.
+    Returns the winner indices (F,) and the scores (F, C).
+    """
+    scores = ((1.0 - 2.0 * x.astype(np.float64)) @ y[:, :, None])[:, :, 0]
     scores[~valid] = -np.inf
-    winner = _select_winner(scores, branch, x_de)
-    return x_de[winner], int(winner), CandidateSet(
-        x=x_de, scores=scores, branch=branch, permutations=list(perms),
-        iterations=iters)
-
-
-def _select_winner(scores, branch, x) -> int:
-    best = scores.max()
-    idx = np.flatnonzero(scores == best)
-    if idx.size == 1:
-        return int(idx[0])
-    lowest = idx[branch[idx] == branch[idx].min()]
-    return int(min(lowest, key=lambda i: x[i].tobytes()))
+    return np.argmax(scores, axis=1), scores
 
 
 def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
@@ -252,42 +282,19 @@ def verify_lta_absorption(spec: CodeSpec, trials: int,
 # ---------------------------------------------------------------------------
 # manifest
 
-def constituent_to_dict(dec: DecoderConfig) -> dict:
-    if isinstance(dec, Sc):
-        return {"kind": "sc"}
-    if isinstance(dec, Scl):
-        return {"kind": "scl", "list_size": dec.list_size}
-    if isinstance(dec, Bp):
-        return {"kind": "bp", "max_iters": dec.max_iters, "stopping": dec.stopping,
-                "reduce_graph": dec.reduce_graph}
-    raise TypeError(f"unsupported decoder {dec!r}")
-
-
-def constituent_from_dict(d: dict) -> DecoderConfig:
-    kind = d["kind"]
-    if kind == "sc":
-        return Sc()
-    if kind == "scl":
-        return Scl(list_size=int(d["list_size"]))
-    if kind == "bp":
-        return Bp(max_iters=int(d["max_iters"]), stopping=bool(d["stopping"]),
-                  reduce_graph=bool(d.get("reduce_graph", False)))
-    raise ValueError(f"unknown decoder kind {kind!r}")
-
-
-def ensemble_manifest(cfg: EnsembleConfig, m: int) -> dict:
-    """Serializable description sufficient to reproduce the ensemble; fixed
-    ensembles list their automorphisms explicitly in the text format."""
-    out = {
-        "seed": cfg.seed,
-        "subgroup": cfg.subgroup,
-        "M": cfg.size,
-        "resample_per_frame": cfg.resample_per_frame,
-        "dedupe": cfg.dedupe,
-        "include_identity": cfg.include_identity,
-        "constituent": constituent_to_dict(cfg.constituent),
-    }
-    if not cfg.resample_per_frame:
-        out["automorphisms"] = [format_automorphism(a)
-                                for a in cfg.sample_automorphisms(m)]
-    return out
+def decoder_from_dict(d: dict) -> DecoderConfig | EnsembleConfig:
+    """Rebuild a decoder config from its to_dict() form: an ensemble when
+    the dict nests a constituent, else the plain decoder named by "kind".
+    A manifest is outside input: values are converted to the field types,
+    missing optional keys take their defaults and unknown kinds raise
+    ValueError."""
+    if "constituent" in d:
+        return EnsembleConfig(
+            constituent=decoder_from_dict(d["constituent"]),
+            **{name: typ(d[key]) for key, (name, typ) in EnsembleConfig._KEYS.items()
+               if key in d})
+    cls = {c.kind: c for c in (Sc, Scl, Bp)}.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown decoder kind {d.get('kind')!r}")
+    return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)
+                  if f.name in d})

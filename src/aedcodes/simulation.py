@@ -22,7 +22,7 @@ from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, encode,
                     polar_transform)
 from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
                        sc_decode_batch, scl_decode_batch)
-from .ensemble import EnsembleConfig, decode_branches
+from .ensemble import EnsembleConfig, decode_branches, select_winners
 
 BATCH_FRAMES = 256  # fixed evaluation granularity; results are independent of it
 _BP_MC_DTYPE = np.float32
@@ -115,24 +115,29 @@ def ml_decode_oracle(spec: CodeSpec, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte-Carlo loop
 
-def _frame_streams(seed: int, frame: int) -> tuple:
-    """Independent (message, noise, ensemble) child streams for one frame."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(frame,)).spawn(3)
+def _frame_stream(seed: int, frame: int) -> np.random.SeedSequence:
+    """Root stream of one frame.  Under the channel seed its two children are
+    the frame's message and noise streams; under an ensemble seed it draws
+    the frame's automorphisms."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=(frame,))
 
 
 def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
-                all_zero: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                all_zero: bool, tables: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Transmit and decode frames lo..hi-1; returns per-frame block-error
     flags, bit-error counts, summed branch iterations and branch-run counts.
 
-    Results for a frame depend only on (spec, decoder, ch, frame index)."""
+    A fixed ensemble comes with its compiled `tables`, which run_mc draws
+    once per run; a resampled one is drawn here, frame by frame.  Results
+    for a frame depend only on (spec, decoder, ch, frame index)."""
     fsz = hi - lo
     n, k = spec.n, spec.k
     sigma = ch.sigma
     msgs = np.zeros((fsz, k), dtype=np.uint8)
     noise = np.empty((fsz, n))
     for t in range(fsz):
-        msg_ss, noise_ss, _ = _frame_streams(ch.seed, lo + t)
+        msg_ss, noise_ss = _frame_stream(ch.seed, lo + t).spawn(2)
         if not all_zero:
             msgs[t] = np.random.default_rng(msg_ss).integers(0, 2, k, dtype=np.uint8)
         noise[t] = np.random.default_rng(noise_ss).normal(0.0, sigma, n)
@@ -152,30 +157,21 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
             spec, llr, decoder.max_iters, decoder.stopping, decoder.reduce_graph,
             dtype=_BP_MC_DTYPE)
         iters_sum = iters.astype(np.float64)
-    elif isinstance(decoder, EnsembleConfig):
+    else:  # EnsembleConfig
         if decoder.resample_per_frame:
             tables = np.stack([
                 compile_tables(decoder.sample_automorphisms(
-                    spec.m, np.random.default_rng(
-                        np.random.SeedSequence(entropy=decoder.seed,
-                                               spawn_key=(lo + t,)))))
+                    spec.m, np.random.default_rng(_frame_stream(decoder.seed, lo + t))))
                 for t in range(fsz)])
-        else:
-            tables = compile_tables(decoder.sample_automorphisms(spec.m))
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,
                                                 bp_dtype=_BP_MC_DTYPE)
-        scores = np.einsum("fcn,fn->fc", 1.0 - 2.0 * x_de.astype(np.float64), y)
-        scores[~valid] = -np.inf
-        win = np.argmax(scores, axis=1)
-        x_hat = x_de[np.arange(fsz), win]
+        x_hat = x_de[np.arange(fsz), select_winners(x_de, valid, y)[0]]
         u_hat = polar_transform(x_hat)
         u_hat[:, spec.frozen] = 0
-        if isinstance(decoder.constituent, Bp):
-            iters_sum = iters.sum(axis=1).astype(np.float64)
-            runs = np.full(fsz, decoder.size, dtype=np.int64)
-    else:
-        raise TypeError(f"unsupported decoder config {decoder!r}")
+        # every candidate is one constituent run (1 iteration for SC/SCL)
+        iters_sum = iters.sum(axis=1).astype(np.float64)
+        runs = np.full(fsz, iters.shape[1], dtype=np.int64)
 
     blk = np.any(x_hat != x_true, axis=1)
     bits = np.count_nonzero(u_hat[:, spec.info_indices] != msgs, axis=1)
@@ -201,6 +197,10 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     budget = frames if frames is not None else 1 << 62
     target = target_errors if target_errors else None
     t0 = time.perf_counter()
+    tables = None
+    if isinstance(decoder, EnsembleConfig) and not decoder.resample_per_frame:
+        # a fixed ensemble is drawn and compiled once, for every chunk
+        tables = compile_tables(decoder.sample_automorphisms(spec.m))
 
     tot = {"frames": 0, "blk": 0, "bits": 0, "iters": 0.0, "runs": 0}
 
@@ -225,7 +225,7 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         lo = 0
         while lo < budget:
             hi = min(lo + BATCH_FRAMES, budget)
-            if consume(_eval_chunk(spec, decoder, ch, lo, hi, all_zero)):
+            if consume(_eval_chunk(spec, decoder, ch, lo, hi, all_zero, tables)):
                 break
             lo = hi
     else:
@@ -238,7 +238,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
                 while next_submit < budget and len(pending) < workers + 2:
                     hi = min(next_submit + BATCH_FRAMES, budget)
                     pending[next_submit] = pool.submit(
-                        _eval_chunk, spec, decoder, ch, next_submit, hi, all_zero)
+                        _eval_chunk, spec, decoder, ch, next_submit, hi, all_zero,
+                        tables)
                     next_submit = hi
                 stopped = consume(pending.pop(next_take).result())
                 next_take = min(next_take + BATCH_FRAMES, budget)
@@ -257,23 +258,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
 CSV_HEADER = "code,decoder,subgroup,M,L,ebn0_db,frames,block_errors,bler,ber,avg_iters,seconds"
 
 
-def decoder_descriptor(decoder) -> tuple[str, str, int, int]:
-    """(kind, subgroup, M, L) for result rows; plain decoders use M=0 and
-    subgroup '-'; L is the list size, 1 for SC, 0 for BP."""
-    if isinstance(decoder, Sc):
-        return "sc", "-", 0, 1
-    if isinstance(decoder, Scl):
-        return "scl", "-", 0, decoder.list_size
-    if isinstance(decoder, Bp):
-        return "bp", "-", 0, 0
-    if isinstance(decoder, EnsembleConfig):
-        kind, _, _, lsz = decoder_descriptor(decoder.constituent)
-        return kind, decoder.subgroup, decoder.size, lsz
-    raise TypeError(f"unsupported decoder config {decoder!r}")
-
-
 def format_csv_row(spec: CodeSpec, decoder, ch: ChannelConfig, rec: SimRecord) -> str:
-    kind, subgroup, msz, lsz = decoder_descriptor(decoder)
+    kind, subgroup, msz, lsz = decoder.descriptor
     label = f'"{spec.label}"' if "," in spec.label else spec.label
     fields = [label, kind, subgroup, str(msz), str(lsz),
               repr(float(ch.ebn0_db)), str(rec.frames), str(rec.block_errors),

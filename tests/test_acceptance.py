@@ -188,8 +188,7 @@ def test_criterion_6_bler_reproduction():
                      workers=WORKERS)
         rel = rec.bler / expect - 1.0
         good = abs(rel) <= 0.15 and rec.block_errors >= min(target, 100)
-        from aedcodes.simulation import decoder_descriptor
-        kind, subgroup, msz, lsz = decoder_descriptor(decoder)
+        kind, subgroup, msz, lsz = decoder.descriptor
         name = f"{kind}{'-' + str(lsz) if kind == 'scl' else ''}" \
                f"{f' aut{msz}({subgroup})' if msz else ''} @{ebn0}dB"
         measured[(kind, subgroup, msz, ebn0)] = rec

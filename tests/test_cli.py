@@ -102,9 +102,10 @@ def test_simulate_ensemble_manifest_roundtrip(tmp_path, capsys):
     assert [r[:-1] for r in parse_csv(out1)] == [r[:-1] for r in parse_csv(out2)]
 
 
-def test_simulate_lta_ensemble_matches_plain_sc(capsys):
+def test_simulate_lta_ensemble_matches_plain_sc(tmp_path, capsys):
     base = ["--rm", "2,5", "--ebn0", "2.0:2.0:1", "--frames", "400",
-            "--target-errors", "0", "--seed", "9", "--threads", "1"]
+            "--target-errors", "0", "--seed", "9", "--threads", "1",
+            "--manifest-out", str(tmp_path / "run.manifest.json")]
     _, out_plain, _ = run_cli(capsys, "simulate", "--decoder", "sc", *base)
     _, out_lta, _ = run_cli(capsys, "simulate", "--decoder", "sc",
                             "--ensemble", "4", "--subgroup", "lta", *base)
@@ -112,11 +113,12 @@ def test_simulate_lta_ensemble_matches_plain_sc(capsys):
     assert errs(out_plain) == errs(out_lta)
 
 
-def test_simulate_json_output(capsys):
+def test_simulate_json_output(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "--rm", "1,3", "--decoder", "bp",
                            "--iters", "10", "--ebn0", "3.0:3.0:1",
                            "--frames", "50", "--target-errors", "0",
-                           "--seed", "1", "--threads", "1", "--json")
+                           "--seed", "1", "--threads", "1", "--json",
+                           "--manifest-out", str(tmp_path / "run.manifest.json"))
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["frames"] == 50

@@ -9,8 +9,7 @@ from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
                       identity_automorphism, in_code, inverse, mlup_decompose,
                       rm_code, sample, sc_decode,
                       verify_lta_absorption, verify_lta_commutation)
-from aedcodes.ensemble import (constituent_from_dict, constituent_to_dict,
-                               decode_branches, ensemble_manifest)
+from aedcodes.ensemble import decode_branches, decoder_from_dict
 
 
 def make_frame(spec, rng, sigma=0.7):
@@ -72,6 +71,20 @@ def test_candidates_are_codewords_all_constituents():
             for j in range(len(cands)):
                 if np.isfinite(cands.scores[j]):
                     assert in_code(spec, cands.x[j])
+
+
+def test_tied_scores_go_to_lowest_candidate():
+    # y = 0 ties every candidate: the winner is candidate 0 (branch 0, list
+    # slot 0), the index argmax gives the Monte-Carlo path, even though
+    # branch 0 lists distinct codewords that sort below it
+    spec = rm_code(2, 5)
+    cfg = EnsembleConfig(3, "ga", Scl(4), seed=2)
+    perms = cfg.sample_automorphisms(spec.m)
+    llr = np.random.default_rng(2).normal(0, 2, spec.n)
+    xw, wi, cands = aed_decode(spec, np.zeros(spec.n), llr, cfg, perms)
+    assert len(set(map(bytes, cands.x[:4]))) > 1
+    assert wi == 0 == int(np.argmax(cands.scores))
+    assert np.array_equal(xw, cands.x[0])
 
 
 def test_scl_constituent_pools_all_list_candidates():
@@ -206,20 +219,24 @@ def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
 # manifests
 
 def test_constituent_dict_roundtrip():
-    for dec in (Sc(), Scl(16), Bp(100, False, True)):
-        assert constituent_from_dict(constituent_to_dict(dec)) == dec
+    ensembles = (EnsembleConfig(5, "uta", Scl(2), seed=99),
+                 EnsembleConfig(3, "pi", Bp(20, True, True), seed=4,
+                                resample_per_frame=True, dedupe=False,
+                                include_identity=True))
+    for dec in (Sc(), Scl(16), Bp(100, False, True), *ensembles):
+        assert decoder_from_dict(dec.to_dict(4)) == dec
     with pytest.raises(ValueError):
-        constituent_from_dict({"kind": "viterbi"})
+        decoder_from_dict({"kind": "viterbi"})
 
 
 def test_ensemble_manifest_lists_fixed_automorphisms():
     cfg = EnsembleConfig(5, "uta", Scl(2), seed=99)
-    man = ensemble_manifest(cfg, 4)
+    man = cfg.to_dict(4)
     assert man["M"] == 5 and man["subgroup"] == "uta"
     assert len(man["automorphisms"]) == 5
     from aedcodes import parse_automorphism
     parsed = [parse_automorphism(t) for t in man["automorphisms"]]
     assert parsed == cfg.sample_automorphisms(4)
-    man2 = ensemble_manifest(EnsembleConfig(5, "uta", Scl(2), seed=99,
-                                            resample_per_frame=True), 4)
+    man2 = EnsembleConfig(5, "uta", Scl(2), seed=99,
+                          resample_per_frame=True).to_dict(4)
     assert "automorphisms" not in man2

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from aedcodes import (Bp, CapacityError, ChannelConfig, EnsembleConfig, Sc,
-                      Scl, encode, enumerate_codebook, ml_decode_oracle,
-                      rm_code, run_mc, sc_decode, transmit)
-from aedcodes.simulation import (CSV_HEADER, _eval_chunk, decoder_descriptor,
+                      Scl, aed_decode, compile_tables, encode,
+                      enumerate_codebook, ml_decode_oracle, rm_code, run_mc,
+                      saturate, sc_decode, transmit)
+from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
                                  format_csv_row)
 
 
@@ -164,6 +165,45 @@ def test_run_mc_lta_ensemble_equals_plain_sc_paired():
         assert ens.bit_errors == plain.bit_errors
 
 
+def test_run_mc_draws_a_fixed_ensemble_once(monkeypatch):
+    import aedcodes.ensemble as ensemble
+    calls = []
+    sample_ensemble = ensemble.sample_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble, "sample_ensemble", counted)
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(2.0, spec.rate, seed=1)
+    run_mc(spec, EnsembleConfig(4, "ga", Sc(), seed=1), ch, frames=1024,
+           target_errors=None)
+    assert len(calls) == 1
+
+
+def test_aed_decode_agrees_with_run_mc_frame_by_frame():
+    # rebuild every frame from its streams: the single-frame decoder and the
+    # Monte-Carlo chunk must make the same block error decisions
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(1.5, spec.rate, seed=20)
+    cfg = EnsembleConfig(4, "ga", Scl(2), seed=21)
+    perms = cfg.sample_automorphisms(spec.m)
+    frames = 200
+    blk, _, _, _ = _eval_chunk(spec, cfg, ch, 0, frames, False,
+                               compile_tables(perms))
+    assert 0 < blk.sum() < frames
+    for f in range(frames):
+        msg_ss, noise_ss = _frame_stream(ch.seed, f).spawn(2)
+        x = encode(spec, np.random.default_rng(msg_ss).integers(
+            0, 2, spec.k, dtype=np.uint8))
+        y = (1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
+            0.0, ch.sigma, spec.n)
+        xw, _, _ = aed_decode(spec, y, saturate(2.0 * y / ch.sigma ** 2),
+                              cfg, perms)
+        assert np.any(xw != x) == blk[f]
+
+
 def test_run_mc_parameter_validation():
     spec = rm_code(2, 4)
     ch = ChannelConfig(2.0, spec.rate)
@@ -180,11 +220,12 @@ def test_run_mc_parameter_validation():
 # result rows
 
 def test_decoder_descriptors():
-    assert decoder_descriptor(Sc()) == ("sc", "-", 0, 1)
-    assert decoder_descriptor(Scl(32)) == ("scl", "-", 0, 32)
-    assert decoder_descriptor(Bp()) == ("bp", "-", 0, 0)
+    assert Sc().descriptor == ("sc", "-", 0, 1)
+    assert Scl(32).descriptor == ("scl", "-", 0, 32)
+    assert Bp().descriptor == ("bp", "-", 0, 0)
     cfg = EnsembleConfig(8, "uta", Scl(2))
-    assert decoder_descriptor(cfg) == ("scl", "uta", 8, 2)
+    assert cfg.descriptor == ("scl", "uta", 8, 2)
+    assert cfg.kind == "scl"
 
 
 def test_csv_row_shape_and_determinism():
