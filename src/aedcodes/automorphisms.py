@@ -12,7 +12,9 @@ unitriangular A, any b) and "pi" (permutation-matrix A, b = 0).
 
 from __future__ import annotations
 
+import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,10 +71,46 @@ def mat_inv(a, m: int) -> tuple[int, ...] | None:
     return tuple(right)
 
 
+def is_invertible(a, m: int) -> bool:
+    """Full GF(2) rank test on m rows: reduce each row against an XOR basis
+    whose members have distinct pivot bits (their lowest set bit when
+    added); a row that reduces to zero is dependent."""
+    basis: list[tuple[int, int]] = []
+    for r in a:
+        for pivot, v in basis:
+            if r & pivot:
+                r ^= v
+        if not r:
+            return False
+        basis.append((r & -r, r))
+    return len(basis) == m
+
+
+def full_rank_windows(vals: np.ndarray, m: int) -> np.ndarray:
+    """Invertibility flag of every m-row window vals[s:s+m] (row bitmasks),
+    s = 0 .. len(vals) - m: the reduction of is_invertible run over all
+    windows at once, one row step at a time.  Row i of every window is held
+    in one contiguous array of the narrowest unsigned type."""
+    nwin = vals.size - m + 1
+    if nwin < 1:
+        return np.zeros(0, dtype=bool)
+    dt = np.min_scalar_type((1 << m) - 1)
+    v = vals.astype(dt)
+    w = np.stack([v[i:i + nwin] for i in range(m)])  # w[i, s] = vals[s + i]
+    ok = np.ones(nwin, dtype=bool)
+    for i in range(m - 1):
+        r = w[i]
+        ok &= r != 0
+        pivot = r & (~r + dt.type(1))  # lowest set bit
+        later = w[i + 1:]
+        later ^= r * ((later & pivot) != 0)
+    return ok & (w[m - 1] != 0)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineAutomorphism:
     """Invertible affine map z -> A z + b on GF(2)^m (rows as bitmasks)."""
 
@@ -86,7 +124,7 @@ class AffineAutomorphism:
         mask = (1 << self.m) - 1
         if any(r & ~mask for r in self.rows) or self.b & ~mask:
             raise ValueError("row or offset bits outside m-bit range")
-        if mat_inv(self.rows, self.m) is None:
+        if not is_invertible(self.rows, self.m):
             raise ValueError("matrix is singular over GF(2)")
 
     @property
@@ -161,15 +199,19 @@ def compile_permutation(aut: AffineAutomorphism) -> Permutation:
 
 def compile_tables(auts: list[AffineAutomorphism]) -> np.ndarray:
     """Compiled index tables of several same-dimension automorphisms,
-    stacked as (len(auts), 2**m)."""
+    stacked as (len(auts), 2**m).
+
+    One affine pass: pi(0) = b, and the indices with top bit k are those
+    below 2**k XOR-ed with column k of A, pi(i + 2**k) = pi(i) ^ A e_k."""
     m = auts[0].m
-    idx = np.arange(1 << m, dtype=np.uint64)[None, :]
-    out = np.zeros((len(auts), 1 << m), dtype=np.int64)
+    rows = np.array([a.rows for a in auts], dtype=np.int64).reshape(len(auts), m)
+    cols = np.zeros_like(rows)  # cols[:, k] = A e_k: bit j is A[j, k]
     for j in range(m):
-        rows_j = np.array([a.rows[j] for a in auts], dtype=np.uint64)[:, None]
-        bits = (np.bitwise_count(idx & rows_j) & 1).astype(np.int64)
-        bvec = np.array([(a.b >> j) & 1 for a in auts], dtype=np.int64)[:, None]
-        out |= (bits ^ bvec) << j
+        cols |= ((rows[:, j, None] >> np.arange(m)) & 1) << j
+    out = np.empty((len(auts), 1 << m), dtype=np.int64)
+    out[:, 0] = [a.b for a in auts]
+    for k in range(m):
+        out[:, 1 << k:2 << k] = out[:, :1 << k] ^ cols[:, k:k + 1]
     return out
 
 
@@ -200,17 +242,16 @@ def inverse(p: AffineAutomorphism) -> AffineAutomorphism:
 def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphism:
     """Uniform sample from the requested subgroup.
 
-    "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large m),
+    "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large m;
+    see _ga_draws),
     "lta"/"uta" draw the strictly sub/super-diagonal bits and the offset
     uniformly, "pi" draws a uniform permutation matrix with b = 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if subgroup == "ga":
-        while True:
-            rows = tuple(int(r) for r in rng.integers(0, 1 << m, size=m, dtype=np.int64))
-            if mat_inv(rows, m) is not None:
-                return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
+        with closing(_ga_draws(m, rng, 1)) as draws:
+            return next(draws)
     if subgroup == "lta":
         rows = tuple((1 << j) | int(rng.integers(0, 1 << j)) for j in range(m))
         return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
@@ -227,28 +268,68 @@ def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphis
 def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
                     dedupe: bool = True,
                     include_identity: bool = False) -> list[AffineAutomorphism]:
-    """Sample `count` automorphisms; with dedupe, compiled index tables are
-    pairwise distinct (resampling on collision)."""
+    """Sample `count` automorphisms by repeated sample() draws; with dedupe,
+    the pairs (A, b), and so the compiled index tables, are pairwise
+    distinct (redrawing on collision).  "ga" draws come in bulk
+    (_ga_draws), with the same result and final generator state."""
     if count < 1:
         raise ValueError("ensemble size must be >= 1")
     if dedupe and count > group_order(subgroup, m):
         raise ValueError(f"cannot draw {count} distinct elements from "
                          f"{subgroup}({m}) of order {group_order(subgroup, m)}")
     out: list[AffineAutomorphism] = []
-    seen: set[bytes] = set()
+    seen: set[tuple] = set()
     if include_identity:
-        aut = identity_automorphism(m)
-        out.append(aut)
-        seen.add(compile_permutation(aut).table.tobytes())
-    while len(out) < count:
-        aut = sample(m, subgroup, rng)
-        if dedupe:
-            key = compile_permutation(aut).table.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(aut)
+        out.append(identity_automorphism(m))
+        seen.add((out[0].rows, out[0].b))
+    draws = (_ga_draws(m, rng, count) if subgroup == "ga"
+             else (sample(m, subgroup, rng) for _ in itertools.count()))
+    with closing(draws):
+        while len(out) < count:
+            aut = next(draws)
+            if dedupe:
+                key = (aut.rows, aut.b)
+                if key in seen:
+                    continue
+                seen.add(key)
+            out.append(aut)
     return out
+
+
+def _ga_draws(m: int, rng: np.random.Generator, hint: int):
+    """Uniform "ga" automorphisms by rejection, as array code; closing the
+    generator leaves `rng` just past the values the yielded ones used.
+
+    Each draw takes m row values, redrawn while they are singular, and then
+    b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
+    word of the generator, so one bulk draw gives the same values as
+    drawing them one matrix at a time.  Every m-value window of the draw is rank-tested at once;
+    the walk then skips m values for a singular window and takes m + 1
+    (rows, then b) for an invertible one.  The draw is extended, by enough
+    values for about `hint` automorphisms, whenever it runs out."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    p = group_order("ga", m) / (1 << (m * m + m))  # a uniform matrix is invertible
+    chunk = int(1.5 * hint * (m / p + 1)) + 2 * m + 2
+    state = rng.bit_generator.state
+    drawn = np.zeros(0, dtype=np.int64)
+    ok: list[bool] = []  # ok[s]: drawn[s:s+m] is invertible
+    pos = 0
+    try:
+        while True:
+            if pos + m >= drawn.size:  # the window at pos or its b not drawn yet
+                more = rng.integers(0, 1 << m, size=chunk, dtype=np.int64)
+                drawn = np.concatenate([drawn, more])
+                ok += full_rank_windows(drawn[len(ok):], m).tolist()
+            elif not ok[pos]:
+                pos += m
+            else:
+                *rows, b = drawn[pos:pos + m + 1].tolist()
+                pos += m + 1
+                yield AffineAutomorphism(m, tuple(rows), b)
+    finally:
+        rng.bit_generator.state = state
+        rng.integers(0, 1 << m, size=pos, dtype=np.int64)
 
 
 def group_order(subgroup: str, m: int) -> int:

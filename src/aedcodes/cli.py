@@ -69,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Eb/N0 grid in dB")
     sim.add_argument("--frames", type=int, default=None, metavar="F")
     sim.add_argument("--target-errors", type=int, default=100, metavar="E",
-                     help="stop a point after E block errors (0 = frame budget only)")
+                     help="stop a point after E block errors (0 = frame budget only); "
+                          "without --frames a point also stops at "
+                          "simulation.MAX_FRAMES frames")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--all-zero", action="store_true",
                      help="send the all-zero message instead of random data")
@@ -233,6 +235,10 @@ def cmd_simulate(args) -> int:
         ch = ChannelConfig(float(ebn0), spec.rate, seed=seed)
         rec = run_mc(spec, decoder, ch, frames=frames, target_errors=target,
                      all_zero=all_zero, workers=max(1, args.threads))
+        if rec.stopped_by == "cap":
+            print(f"# {ebn0:g} dB: stopped at the {rec.frames}-frame cap "
+                  f"with {rec.block_errors} of {target} target errors",
+                  file=sys.stderr)
         rows.append((ch, rec))
     if args.json:
         doc = {"manifest": man,
@@ -240,7 +246,7 @@ def cmd_simulate(args) -> int:
                          "frames": rec.frames, "block_errors": rec.block_errors,
                          "bit_errors": rec.bit_errors, "bler": rec.bler,
                          "ber": rec.ber, "avg_iterations": rec.avg_iterations,
-                         "seconds": rec.wall_seconds}
+                         "seconds": rec.wall_seconds, "stopped_by": rec.stopped_by}
                         for ch, rec in rows]}
         print(json.dumps(doc, indent=2))
     else:

@@ -9,9 +9,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .automorphisms import (AffineAutomorphism, compile_permutation,
-                            compile_tables, compose, format_automorphism,
-                            mlup_decompose, sample, sample_ensemble)
+from .automorphisms import (AffineAutomorphism, compile_tables, compose,
+                            format_automorphism, mlup_decompose, sample,
+                            sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
 from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
                        scl_decode_batch)
@@ -228,7 +228,7 @@ def verify_lta_commutation(spec: CodeSpec, trials: int,
     details: list[str] = []
     for t in range(trials):
         aut = sample(spec.m, "lta", rng)
-        table = compile_permutation(aut).table
+        table = compile_tables([aut])[0]
         llr = rng.normal(0.0, 2.0, spec.n)
         _, x_perm = sc_decode_batch(spec, llr[None, table])
         _, x_plain = sc_decode_batch(spec, llr[None, :])
@@ -250,7 +250,7 @@ def conjugated_sc_branch(spec: CodeSpec, aut: AffineAutomorphism, llr) -> np.nda
     a whole subgroup the set of branches is unchanged (each element is
     simply relabelled by its inverse).
     """
-    fwd = compile_permutation(aut).table
+    fwd = compile_tables([aut])[0]
     inv_t = np.empty_like(fwd)
     inv_t[fwd] = np.arange(fwd.size)
     _, x = sc_decode_batch(spec, np.asarray(llr, dtype=np.float64)[None, inv_t])

@@ -25,6 +25,10 @@ from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
 from .ensemble import EnsembleConfig, decode_branches, select_winners
 
 BATCH_FRAMES = 256  # fixed evaluation granularity; results are independent of it
+# Frame budget of a run given only an error target: 100 errors at BLER 1e-4.
+# A point that does not reach its target by then stops there, and its record
+# says so (SimRecord.stopped_by == "cap"); pass a frame budget to go further.
+MAX_FRAMES = 1_000_000
 _BP_MC_DTYPE = np.float32
 
 
@@ -48,7 +52,10 @@ class ChannelConfig:
 
 @dataclass
 class SimRecord:
-    """Accumulated statistics of one Monte-Carlo run."""
+    """Accumulated statistics of one Monte-Carlo run.  stopped_by is
+    "target" when the run reached its block-error target, "frames" when it
+    used up its frame budget and "cap" when it had no budget and stopped at
+    MAX_FRAMES."""
 
     frames: int
     block_errors: int
@@ -56,6 +63,7 @@ class SimRecord:
     info_bits: int
     avg_iterations: float
     wall_seconds: float
+    stopped_by: str
 
     @property
     def bler(self) -> float:
@@ -159,10 +167,12 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
         iters_sum = iters.astype(np.float64)
     else:  # EnsembleConfig
         if decoder.resample_per_frame:
-            tables = np.stack([
-                compile_tables(decoder.sample_automorphisms(
-                    spec.m, np.random.default_rng(_frame_stream(decoder.seed, lo + t))))
-                for t in range(fsz)])
+            # one compile for the automorphisms of every frame of the chunk
+            tables = compile_tables([
+                aut for t in range(fsz)
+                for aut in decoder.sample_automorphisms(
+                    spec.m, np.random.default_rng(_frame_stream(decoder.seed, lo + t)))
+            ]).reshape(fsz, decoder.size, n)
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,
                                                 bp_dtype=_BP_MC_DTYPE)
@@ -183,10 +193,11 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
            workers: int = 1) -> SimRecord:
     """Monte-Carlo block/bit error rates for one decoder at one SNR point.
 
-    Stops at the frame budget or as soon as the cumulative block-error count
-    (scanned in frame order) reaches target_errors, whichever comes first;
-    the stopping frame is a pure function of the configuration, so records
-    are reproducible and independent of `workers`.
+    Stops at the frame budget (MAX_FRAMES when `frames` is None) or as soon
+    as the cumulative block-error count (scanned in frame order) reaches
+    target_errors, whichever comes first; the record's stopped_by says
+    which.  The stopping frame is a pure function of the configuration, so
+    records are reproducible and independent of `workers`.
     """
     if frames is None and not target_errors:
         raise ValueError("need a frame budget or a block-error target")
@@ -194,7 +205,7 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         raise ValueError("frame budget must be >= 1")
     if spec.k == 0:
         raise ValueError("cannot simulate a dimension-0 code")
-    budget = frames if frames is not None else 1 << 62
+    budget = frames if frames is not None else MAX_FRAMES
     target = target_errors if target_errors else None
     t0 = time.perf_counter()
     tables = None
@@ -202,7 +213,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         # a fixed ensemble is drawn and compiled once, for every chunk
         tables = compile_tables(decoder.sample_automorphisms(spec.m))
 
-    tot = {"frames": 0, "blk": 0, "bits": 0, "iters": 0.0, "runs": 0}
+    tot = {"frames": 0, "blk": 0, "bits": 0, "iters": 0.0, "runs": 0,
+           "stopped_by": "frames" if frames is not None else "cap"}
 
     def consume(res) -> bool:
         blk, bits, iters, runs = res
@@ -214,6 +226,7 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
                 end = int(hit[0]) + 1
                 blk, bits, iters, runs = blk[:end], bits[:end], iters[:end], runs[:end]
                 stop = True
+                tot["stopped_by"] = "target"
         tot["frames"] += blk.size
         tot["blk"] += int(np.count_nonzero(blk))
         tot["bits"] += int(bits.sum())
@@ -249,7 +262,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     return SimRecord(frames=tot["frames"], block_errors=tot["blk"],
                      bit_errors=tot["bits"], info_bits=spec.k,
                      avg_iterations=tot["iters"] / max(tot["runs"], 1),
-                     wall_seconds=time.perf_counter() - t0)
+                     wall_seconds=time.perf_counter() - t0,
+                     stopped_by=tot["stopped_by"])
 
 
 # ---------------------------------------------------------------------------

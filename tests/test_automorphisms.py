@@ -1,15 +1,19 @@
 """Affine automorphisms: compilation, group operations, sampling and the
 triangular factorization."""
 
+from contextlib import closing
+
 import numpy as np
 import pytest
 
+import aedcodes.automorphisms as automorphisms
 from aedcodes import (AffineAutomorphism, Permutation, apply_permutation,
                       compile_permutation, compile_tables, compose,
                       enumerate_codebook, format_automorphism, group_order,
                       identity_automorphism, in_code, inverse, mlup_decompose,
                       parse_automorphism, rm_code, sample, sample_ensemble)
-from aedcodes.automorphisms import mat_identity, mat_inv, mat_mul
+from aedcodes.automorphisms import (full_rank_windows, is_invertible,
+                                    mat_identity, mat_inv, mat_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -25,17 +29,48 @@ def all_invertible_matrices(m):
 
 
 def compile_brute(aut):
-    """Per-index evaluation of z' = A z + b, bit by bit."""
-    out = []
-    for i in range(1 << aut.m):
-        val = 0
-        for j in range(aut.m):
-            acc = (aut.b >> j) & 1
-            for k in range(aut.m):
-                acc ^= ((aut.rows[j] >> k) & 1) & ((i >> k) & 1)
-            val |= acc << j
-        out.append(val)
-    return np.array(out)
+    """Evaluation of z'_j = b_j + sum_k A[j, k] z_k at every index, bit by
+    bit (vectorised over the indices only)."""
+    i = np.arange(1 << aut.m)
+    out = np.zeros(1 << aut.m, dtype=np.int64)
+    for j in range(aut.m):
+        acc = np.full(i.shape, (aut.b >> j) & 1)
+        for k in range(aut.m):
+            acc ^= ((aut.rows[j] >> k) & 1) & ((i >> k) & 1)
+        out |= acc << j
+    return out
+
+
+def sample_ga_scalar(m, rng):
+    """One "ga" draw, one matrix at a time: redraw m rows until mat_inv
+    accepts them, then draw b."""
+    while True:
+        rows = tuple(int(r) for r in rng.integers(0, 1 << m, size=m, dtype=np.int64))
+        if mat_inv(rows, m) is not None:
+            return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
+
+
+def sample_ensemble_scalar(m, subgroup, count, rng, dedupe=True,
+                           include_identity=False):
+    """The one-by-one sampling loop; dedupe compares compiled tables."""
+    out, seen = [], set()
+    if include_identity:
+        out.append(identity_automorphism(m))
+        seen.add(compile_permutation(out[0]).table.tobytes())
+    while len(out) < count:
+        aut = sample_ga_scalar(m, rng) if subgroup == "ga" else sample(m, subgroup, rng)
+        if dedupe:
+            key = compile_permutation(aut).table.tobytes()
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(aut)
+    return out
+
+
+def ensemble_counts(subgroup, m):
+    order = group_order(subgroup, m)
+    return sorted({1, 2, 7, 32} | ({order} if order <= 64 else set()))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +136,17 @@ def test_compile_tables_stacks():
     tables = compile_tables(auts)
     for j, aut in enumerate(auts):
         assert np.array_equal(tables[j], compile_permutation(aut).table)
+
+
+@pytest.mark.parametrize("m", [1, 8, 10])
+def test_compile_tables_mixed_batch_matches_bruteforce(m):
+    rng = np.random.default_rng(100 + m)
+    auts = [identity_automorphism(m), AffineAutomorphism(m, mat_identity(m), 1)]
+    auts += [sample(m, ("ga", "lta", "uta", "pi")[j % 4], rng) for j in range(198)]
+    tables = compile_tables(auts)
+    assert tables.shape == (200, 1 << m) and tables.dtype == np.int64
+    for table, aut in zip(tables, auts):
+        assert np.array_equal(table, compile_brute(aut))
 
 
 def test_apply_roundtrip_and_length():
@@ -212,6 +258,85 @@ def test_sample_ensemble_dedupes():
     assert len(tables) == 6
     with pytest.raises(ValueError):
         sample_ensemble(3, "pi", 7, rng)
+
+
+@pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
+@pytest.mark.parametrize("m", range(1, 11))
+def test_sample_ensemble_equals_scalar_loop(m, subgroup):
+    """Same automorphisms, in the same order, and the same generator state
+    afterwards as the one-by-one loop; one generator serves every call."""
+    new, ref = np.random.default_rng(m), np.random.default_rng(m)
+    for count in ensemble_counts(subgroup, m):
+        for dedupe in (True, False):
+            if dedupe and count > group_order(subgroup, m):
+                continue
+            for ident in (False, True):
+                got = sample_ensemble(m, subgroup, count, new, dedupe, ident)
+                want = sample_ensemble_scalar(m, subgroup, count, ref, dedupe, ident)
+                assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for a in want]
+                assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_ensemble_whole_small_groups():
+    for m, subgroup in ((1, "ga"), (3, "pi"), (2, "ga")):
+        order = group_order(subgroup, m)
+        ens = sample_ensemble(m, subgroup, order, np.random.default_rng(5))
+        assert len({(a.rows, a.b) for a in ens}) == order
+
+
+def test_sample_ensemble_pinned_draw():
+    """A literal pin: a numpy release that spends the random stream
+    differently in Generator.integers fails here rather than silently
+    changing every resampled ensemble."""
+    rng = np.random.default_rng(2024)
+    ens = sample_ensemble(8, "ga", 3, rng)
+    assert format_automorphism(ens[0]) == (
+        "m=8; A=10111100,10110101,11101000,01101100,10001010,11110010,"
+        "00010111,00110011; b=01010111")
+    assert int(rng.integers(0, 1 << 30)) == 1036085921
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_ga_draws_across_draw_extensions(m):
+    """With a zero size hint every bulk draw holds only 2m + 2 values, so
+    the walk keeps extending it and rank-test windows straddle the joins;
+    the draws and the final generator state are unchanged.  Single
+    sample(m, "ga") draws take the same path."""
+    new, ref = np.random.default_rng(30 + m), np.random.default_rng(30 + m)
+    for n in (1, 2, 12):
+        with closing(automorphisms._ga_draws(m, new, hint=0)) as draws:
+            got = [next(draws) for _ in range(n)]
+        assert got == [sample_ga_scalar(m, ref) for _ in range(n)]
+        assert new.bit_generator.state == ref.bit_generator.state
+        assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
+        assert new.bit_generator.state == ref.bit_generator.state
+
+
+def test_rank_tests_find_the_168_invertible_3x3():
+    mats = [tuple((bits >> (3 * j)) & 7 for j in range(3)) for bits in range(512)]
+    expect = [mat_inv(rows, 3) is not None for rows in mats]
+    assert sum(expect) == 168
+    assert [is_invertible(rows, 3) for rows in mats] == expect
+    vals = np.array([r for rows in mats for r in rows], dtype=np.int64)
+    windows = full_rank_windows(vals, 3)
+    assert windows.shape == (vals.size - 2,)
+    assert windows[::3].tolist() == expect
+    assert full_rank_windows(vals[:2], 3).size == 0
+
+
+def test_rank_tests_agree_with_mat_inv_at_m10():
+    rng = np.random.default_rng(15)
+    vals = rng.integers(0, 1 << 10, 3000, dtype=np.int64)
+    # rank-deficient windows that a uniform draw rarely produces
+    vals[100:110] = [1 << j for j in range(9)] + [0b11]
+    vals[200:210] = [5, 3, 6] + [1 << j for j in range(3, 10)]
+    windows = full_rank_windows(vals, 10)
+    expect = [mat_inv(tuple(vals[s:s + 10].tolist()), 10) is not None
+              for s in range(vals.size - 9)]
+    assert windows.tolist() == expect
+    assert [is_invertible(tuple(vals[s:s + 10].tolist()), 10)
+            for s in range(vals.size - 9)] == expect
+    assert not expect[100] and not expect[200] and 0 < sum(expect) < len(expect)
 
 
 def test_sample_ensemble_identity_flag():

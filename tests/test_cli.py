@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 
+import aedcodes.simulation as simulation
 from aedcodes import rm_code, write_frozen_file
 from aedcodes.cli import main
 from aedcodes.simulation import CSV_HEADER
@@ -123,6 +124,30 @@ def test_simulate_json_output(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["rows"][0]["frames"] == 50
     assert doc["manifest"]["constituent"]["kind"] == "bp"
+
+
+def test_simulate_json_says_why_each_point_stopped(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(simulation, "MAX_FRAMES", 300)
+    code, out, _ = run_cli(capsys, "simulate", "--rm", "1,4", "--ebn0=-2.0:12.0:2",
+                           "--target-errors", "5", "--seed", "1", "--threads", "1",
+                           "--json", "--manifest-out", str(tmp_path / "run.manifest.json"))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["stopped_by"] for r in rows] == ["target", "cap"]
+    assert rows[1]["frames"] == 300 and rows[1]["block_errors"] == 0
+
+
+def test_simulate_csv_notes_a_capped_point(tmp_path, capsys, monkeypatch):
+    """The CSV columns stay as they are; a point that stopped at the cap
+    gets a note on standard error instead."""
+    monkeypatch.setattr(simulation, "MAX_FRAMES", 300)
+    code, out, err = run_cli(capsys, "simulate", "--rm", "1,4", "--ebn0=-2.0:12.0:2",
+                             "--target-errors", "5", "--seed", "1", "--threads", "1",
+                             "--manifest-out", str(tmp_path / "run.manifest.json"))
+    assert code == 0
+    assert out.splitlines()[0] == CSV_HEADER and len(out.splitlines()) == 3
+    notes = [ln for ln in err.splitlines() if "frame cap" in ln]
+    assert notes == ["# 12 dB: stopped at the 300-frame cap with 0 of 5 target errors"]
 
 
 def test_simulate_usage_errors(capsys):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import aedcodes.simulation as simulation
 from aedcodes import (Bp, CapacityError, ChannelConfig, EnsembleConfig, Sc,
                       Scl, aed_decode, compile_tables, encode,
                       enumerate_codebook, ml_decode_oracle, rm_code, run_mc,
@@ -214,6 +215,20 @@ def test_run_mc_parameter_validation():
     from aedcodes import polar_code
     with pytest.raises(ValueError):
         run_mc(polar_code(2, np.ones(4, bool)), Sc(), ChannelConfig(2.0, 0.5))
+
+
+def test_run_mc_stops_at_the_frame_cap(monkeypatch):
+    """Without a frame budget a point that cannot reach its error target
+    stops at MAX_FRAMES, and the record says which limit ended it."""
+    monkeypatch.setattr(simulation, "MAX_FRAMES", 300)
+    spec = rm_code(1, 4)
+    ch = ChannelConfig(12.0, spec.rate, seed=1)
+    rec = run_mc(spec, Sc(), ch, frames=None, target_errors=5)
+    assert (rec.frames, rec.block_errors, rec.stopped_by) == (300, 0, "cap")
+    assert run_mc(spec, Sc(), ch, frames=200, target_errors=5).stopped_by == "frames"
+    rec = run_mc(spec, Sc(), ChannelConfig(-2.0, spec.rate, seed=1), frames=None,
+                 target_errors=5)
+    assert rec.block_errors == 5 and rec.frames < 300 and rec.stopped_by == "target"
 
 
 # ---------------------------------------------------------------------------
