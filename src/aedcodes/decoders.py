@@ -5,12 +5,22 @@ layout: stage ``s`` pairs indices ``i`` and ``i + 2**s`` inside blocks of
 ``2**(s+1)``, so a length-N vector reshaped to ``(-1, 2, 2**s)`` exposes the
 upper/lower ports of every processing element as contiguous views.
 
+SC decodes a node of the decoding tree directly when the frozen pattern
+allows: a rate-0 node (all leaves frozen) gives x = 0, a rate-1 node (no
+leaf frozen) gives the hard decision x = (L < 0), and a repetition node
+(only its last leaf unfrozen) folds its LLRs by halving sums and repeats
+the sign of the result.  Only mixed nodes are split into f- and g-updates.
+This equals leaf-order SC except on LLR ties inside rate-1 nodes (see
+sc_decode_batch).  SCL keeps the leaf-order schedule, because its path
+metric needs every leaf LLR, frozen or not.
+
 Decoders are deterministic pure functions; batched kernels process rows
 independently, so per-row results never depend on how calls are batched.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -163,44 +173,41 @@ def sc_decode(spec: CodeSpec, llr) -> DecodeOutput:
 def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode a (B, N) batch of LLR rows; returns (u_hat, x_hat) bits.
 
-    Iterative leaf-order schedule with one LLR / partial-sum workspace per
-    stage, so the recursion depth never exceeds m.
+    Runs the node schedule of spec's frozen pattern (see _sc_schedule):
+    f- and g-updates only inside mixed nodes, and one direct decision per
+    rate-0, rate-1 or repetition node.  There is one LLR workspace per
+    stage, the codeword is assembled in place, and u_hat is
+    polar_transform(x_hat), since G_N is an involution.
+
+    The result equals leaf-order SC except on a tie inside a rate-1 node,
+    which takes the hard decision x = (L < 0).  Leaf order differs from it
+    only when an LLR inside the node is exactly zero (node LLRs (0.0, -5.0)
+    give x = (1, 1) in leaf order and (0, 1) here), or when a boxplus
+    loses its sign because its inputs differ in magnitude by a factor of
+    about 1e12 or more.
     """
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
     bsz, n = llrs.shape
     m = spec.m
-    frozen = spec.frozen
     llr_ws = [np.empty((bsz, 1 << s)) for s in range(m)] + [llrs]
-    bits_left = [np.empty((bsz, 1 << s), np.uint8) for s in range(m + 1)]
-    work = [np.empty((bsz, 1 << s), np.uint8) for s in range(m + 1)]
-    u_out = np.empty((bsz, n), np.uint8)
-    x_out = None
-    for phi in range(n):
-        if phi == 0:
-            top = m
-        else:
-            low = (phi & -phi).bit_length() - 1
-            _g_update(llr_ws[low + 1], bits_left[low], llr_ws[low])
-            top = low
-        for s in range(top, 0, -1):
-            h = 1 << (s - 1)
-            _boxplus_into(llr_ws[s][:, :h], llr_ws[s][:, h:], llr_ws[s - 1])
-        if frozen[phi]:
-            u = np.zeros((bsz, 1), np.uint8)
-        else:
-            u = (llr_ws[0] < 0).astype(np.uint8)
-        u_out[:, phi] = u[:, 0]
-        x, s, t = u, 0, phi
-        while t & 1:
-            buf = work[s + 1]
-            np.bitwise_xor(bits_left[s], x, out=buf[:, : 1 << s])
-            buf[:, 1 << s:] = x
-            x, s, t = buf, s + 1, t >> 1
-        if s == m:
-            x_out = x.copy()
-        else:
-            np.copyto(bits_left[s], x)
-    return u_out, x_out
+    x_out = np.zeros((bsz, n), np.uint8)
+    for op, s, lo, mid, hi in _sc_schedule(spec.frozen.tobytes()):
+        node = llr_ws[s]
+        h = mid - lo
+        if op == _F:
+            _boxplus_into(node[:, :h], node[:, h:], llr_ws[s - 1])
+        elif op == _G:
+            _g_update(node, x_out[:, lo:mid], llr_ws[s - 1])
+        elif op == _COMBINE:
+            x_out[:, lo:mid] ^= x_out[:, mid:hi]
+        elif op == _RATE1:
+            np.less(node, 0.0, out=x_out[:, lo:hi])
+        else:  # _REP: the halving sums that g-updates make over zero left bits
+            while node.shape[1] > 1:
+                h = node.shape[1] >> 1
+                node = node[:, :h] + node[:, h:]
+            x_out[:, lo:hi] = node < 0.0
+    return polar_transform(x_out), x_out
 
 
 def _g_update(parent, left_bits, out):
@@ -208,6 +215,57 @@ def _g_update(parent, left_bits, out):
     h = parent.shape[1] // 2
     np.multiply(1.0 - 2.0 * left_bits, parent[:, :h], out=out)
     out += parent[:, h:]
+
+
+# SC schedule ops, and the two node kinds that are not ops: a rate-0 node
+# needs none, as the codeword starts at zero, and a mixed node is split
+_F, _G, _COMBINE, _RATE1, _REP = range(5)
+_RATE0, _MIXED = -1, -2
+
+
+@functools.lru_cache(maxsize=64)
+def _sc_schedule(frozen: bytes) -> tuple[tuple[int, int, int, int, int], ...]:
+    """Node schedule of SC for a frozen pattern, as (op, s, lo, mid, hi).
+
+    The node at stage s covers leaves lo..hi-1, holds its LLRs in workspace
+    s and splits at mid.  Only mixed nodes are descended into.  A mixed node
+    runs an f-update before a left child that is not rate-0, and a g-update
+    before a right child that is not rate-0.  After the right child,
+    COMBINE xors the right half of x into the left half.  Keyed by
+    frozen.tobytes(), so each pattern's schedule is built on its first
+    decode.
+    """
+    mask = np.frombuffer(frozen, dtype=bool)
+    info_before = np.concatenate([[0], np.cumsum(~mask)])
+    ops = []
+
+    def kind(lo, hi):
+        info = int(info_before[hi] - info_before[lo])
+        if info == 0:
+            return _RATE0
+        if info == hi - lo:
+            return _RATE1
+        if info == 1 and not mask[hi - 1]:
+            return _REP
+        return _MIXED
+
+    def visit(s, lo, hi):
+        node = kind(lo, hi)
+        if node != _MIXED:
+            if node != _RATE0:
+                ops.append((node, s, lo, lo, hi))
+            return
+        mid = (lo + hi) >> 1
+        if kind(lo, mid) != _RATE0:
+            ops.append((_F, s, lo, mid, hi))
+            visit(s - 1, lo, mid)
+        if kind(mid, hi) != _RATE0:
+            ops.append((_G, s, lo, mid, hi))
+            visit(s - 1, mid, hi)
+            ops.append((_COMBINE, s, lo, mid, hi))
+
+    visit(len(mask).bit_length() - 1, 0, len(mask))
+    return tuple(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +276,8 @@ def scl_decode(spec: CodeSpec, llr, list_size: int) -> list[DecodeOutput]:
 
     The metric is the exact log-likelihood penalty, accumulated at every
     leaf: pm += log(1 + exp(-(1-2u) * L)).  list_size=1 reproduces
-    sc_decode bit-exactly.
+    sc_decode bit-exactly, away from the LLR ties that sc_decode_batch
+    describes.
     """
     if list_size < 1:
         raise ValueError("list_size must be >= 1")
@@ -232,40 +291,54 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     """SCL-decode a (F, N) batch; returns (u, x, pm) shaped (F, L, N) twice
     and (F, L), metric-sorted per frame.
 
-    Paths live as F*L rows of flat per-stage workspaces (stage s occupies
-    columns 2**s - 1 .. 2**(s+1) - 2).  Unused path slots start at metric
-    +inf and are displaced as soon as real forks appear.
+    Leaf-order SC on F*L path rows.  Stage s < m has an LLR workspace and
+    a partial-sum workspace of 2**s columns; the channel stage keeps one
+    row per frame.  Each workspace has its own row map from path to stored
+    row, so a fork only composes the maps and copies no data.  A stage is
+    gathered through its map when it is read, and a write replaces all of
+    its rows.  Path bits are not stored: u = polar_transform(x).  Unused
+    path slots start at metric +inf and are displaced as soon as real
+    forks appear.
     """
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
     fsz, n = llrs.shape
     m, lsize = spec.m, list_size
     rows = fsz * lsize
-    off = [(1 << s) - 1 for s in range(m + 1)]
+    frame_rows = np.arange(fsz)[:, None]
+    frame_base = frame_rows * lsize
+    llr_ws = [np.empty((rows, 1 << s)) for s in range(m)] + [llrs]
+    bits = [np.zeros((rows, 1 << s), np.uint8) for s in range(m)]
+    work = [np.empty((rows, 1 << s), np.uint8) for s in range(m + 1)]
+    # row maps, None where path row i is stored row i
+    llr_map = [None] * m + [np.repeat(np.arange(fsz), lsize)]
+    bits_map = [None] * m
 
-    def sl(arr, s):
-        return arr[:, off[s]: off[s] + (1 << s)]
+    def read(ws, maps, s):
+        if maps[s] is None:
+            return ws[s]
+        rows_s = ws[s][maps[s]]
+        if s < m:  # the channel stage stays one row per frame
+            ws[s], maps[s] = rows_s, None
+        return rows_s
 
-    llr_ws = np.empty((rows, 2 * n - 1))
-    sl(llr_ws, m)[:] = np.repeat(llrs, lsize, axis=0)
-    bits = np.zeros((rows, 2 * n - 1), np.uint8)
-    work = np.zeros((rows, 2 * n - 1), np.uint8)
-    u_path = np.zeros((rows, n), np.uint8)
     pm = np.full((fsz, lsize), np.inf)
     pm[:, 0] = 0.0
     x_final = None
-    frame_base = (np.arange(fsz, dtype=np.int64) * lsize)[:, None]
-
     for phi in range(n):
         if phi == 0:
             top = m
         else:
             low = (phi & -phi).bit_length() - 1
-            _g_update(sl(llr_ws, low + 1), sl(bits, low), sl(llr_ws, low))
+            _g_update(read(llr_ws, llr_map, low + 1), read(bits, bits_map, low),
+                      llr_ws[low])
+            llr_map[low] = None
             top = low
         for s in range(top, 0, -1):
             h = 1 << (s - 1)
-            _boxplus_into(sl(llr_ws, s)[:, :h], sl(llr_ws, s)[:, h:], sl(llr_ws, s - 1))
-        leaf = sl(llr_ws, 0)[:, 0].reshape(fsz, lsize)
+            node = read(llr_ws, llr_map, s)
+            _boxplus_into(node[:, :h], node[:, h:], llr_ws[s - 1])
+            llr_map[s - 1] = None
+        leaf = read(llr_ws, llr_map, 0)[:, 0].reshape(fsz, lsize)
         # log(1 + exp(-+leaf)) split into max(...) plus a shared correction;
         # each fork's penalty is formed independently so that a large leaf
         # magnitude cannot swallow the accumulated metric by cancellation
@@ -278,30 +351,28 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
             pen1 = corr + np.maximum(leaf, 0.0)
             cand = np.concatenate([pm + pen0, pm + pen1], axis=1)
             order = np.argsort(cand, axis=1, kind="stable")[:, :lsize]
-            pm = np.take_along_axis(cand, order, axis=1)
-            parent = order % lsize
-            sel = (frame_base + parent).ravel()
-            llr_ws = llr_ws[sel]
-            bits = bits[sel]
-            u_path = u_path[sel]
+            pm = cand[frame_rows, order]
+            sel = (frame_base + order % lsize).ravel()
+            for maps in (llr_map, bits_map):
+                for s, rows_s in enumerate(maps):
+                    maps[s] = sel if rows_s is None else rows_s[sel]
             u = (order >= lsize).astype(np.uint8).reshape(rows, 1)
-        u_path[:, phi] = u[:, 0]
         x, s, t = u, 0, phi
         while t & 1:
-            buf = sl(work, s + 1)
-            np.bitwise_xor(sl(bits, s), x, out=buf[:, : 1 << s])
+            buf = work[s + 1]
+            np.bitwise_xor(read(bits, bits_map, s), x, out=buf[:, : 1 << s])
             buf[:, 1 << s:] = x
             x, s, t = buf, s + 1, t >> 1
         if s == m:
             x_final = x.copy()
         else:
-            np.copyto(sl(bits, s), x)
+            np.copyto(bits[s], x)
+            bits_map[s] = None
 
     order = np.argsort(pm, axis=1, kind="stable")
     sel = (frame_base + order).reshape(-1)
-    u_srt = u_path[sel].reshape(fsz, lsize, n)
     x_srt = x_final[sel].reshape(fsz, lsize, n)
-    return u_srt, x_srt, np.take_along_axis(pm, order, axis=1)
+    return polar_transform(x_srt), x_srt, np.take_along_axis(pm, order, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,15 @@ def test_lta_preserves_msb_separation():
 # SCL
 
 def test_scl_list_one_is_sc():
-    spec = rm_code(2, 5)
+    # RM(3,7) and RM(4,8) have rate-1 and repetition nodes at stage 3 and
+    # up, which SC decides directly and SCL walks leaf by leaf
     rng = np.random.default_rng(8)
-    llrs = rng.normal(0, 2, (10000, spec.n))
-    u1, x1 = sc_decode_batch(spec, llrs)
-    u2, x2, _ = scl_decode_batch(spec, llrs, 1)
-    assert np.array_equal(x1, x2[:, 0]) and np.array_equal(u1, u2[:, 0])
+    for r, m, rows in [(2, 5, 10000), (3, 7, 2000), (4, 8, 1000)]:
+        spec = rm_code(r, m)
+        llrs = rng.normal(0, 2, (rows, spec.n))
+        u1, x1 = sc_decode_batch(spec, llrs)
+        u2, x2, _ = scl_decode_batch(spec, llrs, 1)
+        assert np.array_equal(x1, x2[:, 0]) and np.array_equal(u1, u2[:, 0])
 
 
 def test_scl_noiseless_metric_zero():
