@@ -5,6 +5,9 @@ freeze every index whose Hamming weight is below m - r; generic polar codes
 take the indicator as given, for instance from a frozen-set text file.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from aedcodes import (encode, in_code, is_decreasing, polar_code,
@@ -40,5 +43,7 @@ print("upper monomials inside lower:",
       upper.monomials.masks <= lower.monomials.masks)
 
 # frozen sets travel as a two-line text format
-write_frozen_file("/tmp/rm37.frozen", spec)
-print("round trip equal:", read_frozen_file("/tmp/rm37.frozen") == spec)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rm37.frozen")
+    write_frozen_file(path, spec)
+    print("round trip equal:", read_frozen_file(path) == spec)

@@ -1,4 +1,4 @@
-"""Affine automorphisms of GF(2)^m and their codeword-index permutations.
+"""Affine automorphisms of GF(2)^m and their compiled codeword-index tables.
 
 An automorphism is a pair (A, b) with A an invertible m x m binary matrix
 and b an m-bit offset, acting on bit positions through the binary expansion
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,29 +162,6 @@ class AffineAutomorphism:
         return a
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on {0..n-1}; ``table[i] = pi(i)``."""
-
-    n: int
-    table: np.ndarray = field(compare=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.int64)
-        if t.shape != (self.n,) or not np.array_equal(np.sort(t), np.arange(self.n)):
-            raise ValueError("table is not a bijection on 0..n-1")
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def __call__(self, i: int) -> int:
-        return int(self.table[i])
-
-    def inverse_table(self) -> np.ndarray:
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.table] = np.arange(self.n)
-        return inv
-
-
 def identity_automorphism(m: int) -> AffineAutomorphism:
     return AffineAutomorphism(m, mat_identity(m), 0)
 
@@ -192,14 +169,11 @@ def identity_automorphism(m: int) -> AffineAutomorphism:
 # ---------------------------------------------------------------------------
 # operations
 
-def compile_permutation(aut: AffineAutomorphism) -> Permutation:
-    """Index permutation pi with binary(pi(i)) = A binary(i) + b."""
-    return Permutation(1 << aut.m, compile_tables([aut])[0])
-
-
 def compile_tables(auts: list[AffineAutomorphism]) -> np.ndarray:
     """Compiled index tables of several same-dimension automorphisms,
-    stacked as (len(auts), 2**m).
+    stacked as (len(auts), 2**m): table[i] = pi(i) with
+    binary(pi(i)) = A binary(i) + b.  The table is the only vector form of
+    an automorphism; v[table] permutes bits or LLRs (w_i = v[pi(i)]).
 
     One affine pass: pi(0) = b, and the indices with top bit k are those
     below 2**k XOR-ed with column k of A, pi(i + 2**k) = pi(i) ^ A e_k."""
@@ -213,14 +187,6 @@ def compile_tables(auts: list[AffineAutomorphism]) -> np.ndarray:
     for k in range(m):
         out[:, 1 << k:2 << k] = out[:, :1 << k] ^ cols[:, k:k + 1]
     return out
-
-
-def apply_permutation(p: Permutation, v: np.ndarray) -> np.ndarray:
-    """Permuted copy w with w[i] = v[pi(i)] (works on bits and LLRs alike)."""
-    v = np.asarray(v)
-    if v.shape[-1] != p.n:
-        raise ValueError(f"vector length {v.shape[-1]} != {p.n}")
-    return v[..., p.table]
 
 
 def compose(p: AffineAutomorphism, q: AffineAutomorphism) -> AffineAutomorphism:

@@ -287,15 +287,20 @@ def enumerate_codebook(spec: CodeSpec) -> np.ndarray:
     """
     if spec.k > CODEBOOK_K_MAX:
         raise CapacityError(f"k={spec.k} exceeds codebook cap {CODEBOOK_K_MAX}")
-    count = 1 << spec.k
-    out = np.empty((count, spec.n), dtype=np.uint8)
-    chunk = 1 << 14
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        nums = np.arange(lo, hi, dtype=np.uint64)[:, None]
-        msgs = ((nums >> np.arange(spec.k, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-        out[lo:hi] = encode(spec, msgs)
+    out = np.empty((1 << spec.k, spec.n), dtype=np.uint8)
+    for lo, cws in _codebook_chunks(spec):
+        out[lo:lo + len(cws)] = cws
     return out
+
+
+def _codebook_chunks(spec: CodeSpec, chunk: int = 1 << 14):
+    """The codebook in message counting order, `chunk` codewords at a time:
+    yields (number of the first message, codewords) pairs."""
+    count = 1 << spec.k
+    for lo in range(0, count, chunk):
+        nums = np.arange(lo, min(lo + chunk, count), dtype=np.uint64)[:, None]
+        msgs = ((nums >> np.arange(spec.k, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
+        yield lo, encode(spec, msgs)
 
 
 def read_frozen_file(path) -> CodeSpec:

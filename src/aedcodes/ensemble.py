@@ -10,8 +10,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .automorphisms import (AffineAutomorphism, compile_tables, compose,
-                            format_automorphism, mlup_decompose, sample,
-                            sample_ensemble)
+                            format_automorphism, inverse, mlup_decompose,
+                            sample, sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
 from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
                        scl_decode_batch)
@@ -78,7 +78,8 @@ class EnsembleConfig:
 class CandidateSet:
     """Per-candidate results of one ensemble decode.
 
-    x holds the de-interleaved codeword estimates, scores the correlations
+    x holds the codeword estimates, de-interleaved by scattering through
+    their branch's index table (decode_branches), scores the correlations
     sum_i (-1)^x_i * y_i (-inf for unused list slots), branch the
     originating decoder index (candidates of an SCL constituent share a
     branch).  Candidates are ordered by branch, then by SCL list slot, and
@@ -101,8 +102,9 @@ def aed_decode(spec: CodeSpec, y, llr, cfg: EnsembleConfig,
                ) -> tuple[np.ndarray, int, CandidateSet]:
     """Decode one frame with an automorphism ensemble.
 
-    Branch j decodes the interleaved input apply(pi_j, llr) and its codeword
-    estimate is de-interleaved with pi_j^{-1}.  The winner maximises the
+    Branch j decodes the input interleaved by pi_j's compiled table t_j,
+    llr[t_j], and de-interleaves its codeword estimate by scattering
+    through t_j (decode_branches).  The winner maximises the
     correlation to the received vector y (select_winners); ties go to the
     lowest candidate index, that is the lowest branch and then the lowest
     SCL list slot.  Returns the winner estimate, its candidate index and the
@@ -146,56 +148,43 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every ensemble branch of a batch of frames.
 
-    llrs is (F, N).  tables holds compiled index tables, either (M, N)
-    shared by all frames or (F, M, N) per frame.  Returns de-interleaved
-    candidates (F, C, N), branch indices (F, C), per-candidate iteration
-    counts (F, C) and a validity mask (F, C) that disqualifies unused list
-    slots (short SCL lists).  C = M, or M * list_size for SCL constituents.
+    llrs is (F, N).  tables holds compiled index tables t, either (M, N)
+    shared by all frames or (F, M, N) per frame.  Branch j interleaves by
+    gathering, llr[t_j], and de-interleaves its estimates by scattering
+    through the same table, out[t_j[i]] = x[i]; no inverse table is built.
+    Returns de-interleaved candidates (F, C, N), branch indices (F, C),
+    per-candidate iteration counts (F, C) and a validity mask (F, C) that
+    disqualifies unused list slots (short SCL lists).  C = M, or
+    M * list_size for SCL constituents.
     """
     fsz, n = llrs.shape
-    shared = tables.ndim == 2
-    msz = tables.shape[-2]
-    inv = np.argsort(tables, axis=-1)
-    if shared:
-        permuted = llrs[:, tables].reshape(fsz * msz, n)
-        inv_b = inv[None, :, :]
-    else:
-        permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2)
-        permuted = permuted.reshape(fsz * msz, n)
-        inv_b = inv
-
-    def deinterleave(x, per_branch):
-        x = x.reshape(fsz, msz, per_branch, n)
-        idx = np.broadcast_to(inv_b[:, :, None, :], x.shape)
-        out = np.take_along_axis(x.reshape(fsz, msz * per_branch, n),
-                                 idx.reshape(fsz, msz * per_branch, n), axis=2)
-        return out
-
-    branch = np.broadcast_to(np.arange(msz), (fsz, msz))
+    tables = np.broadcast_to(tables, (fsz,) + tables.shape[-2:])
+    msz = tables.shape[1]
+    rows = fsz * msz
+    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2).reshape(rows, n)
     if isinstance(constituent, Sc):
-        _, x = sc_decode_batch(spec, permuted)
-        return (deinterleave(x, 1), branch,
-                np.ones((fsz, msz), dtype=np.int64),
-                np.ones((fsz, msz), dtype=bool))
-    if isinstance(constituent, Bp):
+        x, lsz, iters, valid = (sc_decode_batch(spec, permuted)[1], 1,
+                                np.ones(rows, dtype=np.int64), np.ones(rows, dtype=bool))
+    elif isinstance(constituent, Scl):
+        lsz = constituent.list_size
+        _, x, pm = scl_decode_batch(spec, permuted, lsz)
+        iters, valid = np.ones(pm.size, dtype=np.int64), np.isfinite(pm)
+    elif isinstance(constituent, Bp):
         u, _, it, _ = bp_decode_batch(spec, permuted, constituent.max_iters,
                                       constituent.stopping, constituent.reduce_graph,
                                       dtype=bp_dtype)
         # candidates must be codewords for the correlation selection to be
         # meaningful: re-encode the message estimate (equal to the codeword
         # hard decision whenever the branch converged)
-        x = polar_transform(u)
-        return (deinterleave(x, 1), branch, it.reshape(fsz, msz),
-                np.ones((fsz, msz), dtype=bool))
-    if isinstance(constituent, Scl):
-        lsz = constituent.list_size
-        _, x, pm = scl_decode_batch(spec, permuted, lsz)
-        x_de = deinterleave(x.reshape(fsz * msz, lsz, n), lsz)
-        branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, msz * lsz))
-        valid = np.isfinite(pm).reshape(fsz, msz * lsz)
-        iters = np.ones((fsz, msz * lsz), dtype=np.int64)
-        return x_de, branch, iters, valid
-    raise TypeError(f"unsupported constituent decoder {constituent!r}")
+        x, lsz, iters, valid = polar_transform(u), 1, it, np.ones(rows, dtype=bool)
+    else:
+        raise TypeError(f"unsupported constituent decoder {constituent!r}")
+    out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
+    np.put_along_axis(out, tables[:, :, None, :], x.reshape(out.shape), axis=3)
+    csz = msz * lsz
+    branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, csz))
+    return (out.reshape(fsz, csz, n), branch, iters.reshape(fsz, csz),
+            valid.reshape(fsz, csz))
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +229,17 @@ def verify_lta_commutation(spec: CodeSpec, trials: int,
 
 
 def conjugated_sc_branch(spec: CodeSpec, aut: AffineAutomorphism, llr) -> np.ndarray:
-    """Codeword estimate of the SC branch conjugated by `aut`.
+    """Codeword estimate of the SC branch conjugated by `aut`: the one
+    decode_branches branch whose table is that of aut^{-1}.
 
-    The branch interleaves with the compiled inverse permutation and
-    de-interleaves with the forward one: because apply() permutes by
-    pullback (w_i = v[pi(i)]), composing vector operations reverses
-    automorphism composition, and this is the orientation in which a
-    lower-triangular left factor cancels against the decoder exactly.  Over
-    a whole subgroup the set of branches is unchanged (each element is
-    simply relabelled by its inverse).
+    Interleaving by the inverse table and de-interleaving by the forward
+    one is the orientation in which a lower-triangular left factor cancels
+    against the decoder exactly: vector gathers compose in the reverse
+    order of the automorphisms.  Over a whole subgroup the set of branches
+    is unchanged (each element is simply relabelled by its inverse).
     """
-    fwd = compile_tables([aut])[0]
-    inv_t = np.empty_like(fwd)
-    inv_t[fwd] = np.arange(fwd.size)
-    _, x = sc_decode_batch(spec, np.asarray(llr, dtype=np.float64)[None, inv_t])
-    return x[0][fwd]
+    llr = np.asarray(llr, dtype=np.float64)[None, :]
+    return decode_branches(spec, llr, compile_tables([inverse(aut)]), Sc())[0][0, 0]
 
 
 def verify_lta_absorption(spec: CodeSpec, trials: int,
@@ -285,16 +270,24 @@ def verify_lta_absorption(spec: CodeSpec, trials: int,
 def decoder_from_dict(d: dict) -> DecoderConfig | EnsembleConfig:
     """Rebuild a decoder config from its to_dict() form: an ensemble when
     the dict nests a constituent, else the plain decoder named by "kind".
-    A manifest is outside input: values are converted to the field types,
-    missing optional keys take their defaults and unknown kinds raise
-    ValueError."""
+    A manifest is outside input: a value must already have its field's
+    JSON type (booleans for bool fields, integers other than booleans for
+    int fields) and is never converted; missing optional keys take their
+    defaults, and wrong types and unknown kinds raise ValueError."""
     if "constituent" in d:
         return EnsembleConfig(
             constituent=decoder_from_dict(d["constituent"]),
-            **{name: typ(d[key]) for key, (name, typ) in EnsembleConfig._KEYS.items()
-               if key in d})
+            **{name: _manifest_value(d, key, typ)
+               for key, (name, typ) in EnsembleConfig._KEYS.items() if key in d})
     cls = {c.kind: c for c in (Sc, Scl, Bp)}.get(d.get("kind"))
     if cls is None:
         raise ValueError(f"unknown decoder kind {d.get('kind')!r}")
-    return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls)
-                  if f.name in d})
+    return cls(**{f.name: _manifest_value(d, f.name, type(f.default))
+                  for f in fields(cls) if f.name in d})
+
+
+def _manifest_value(d: dict, key: str, typ: type):
+    value = d[key]
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
+        raise ValueError(f"manifest key {key!r} must be {typ.__name__}, got {value!r}")
+    return value

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automorphisms import compile_tables
-from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, encode,
-                    polar_transform)
+from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
+                    encode, polar_transform)
 from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
                        sc_decode_batch, scl_decode_batch)
 from .ensemble import EnsembleConfig, decode_branches, select_winners
@@ -99,16 +99,9 @@ def ml_decode_oracle(spec: CodeSpec, y) -> np.ndarray:
         raise ValueError(f"received vector length {y.shape} != N={spec.n}")
     if spec.k > CODEBOOK_K_MAX:
         raise CapacityError(f"k={spec.k} exceeds ML enumeration cap {CODEBOOK_K_MAX}")
-    if spec.k == 0:
-        return np.zeros(spec.n, dtype=np.uint8)
     best_score = -np.inf
     best = None
-    chunk = 1 << 14
-    for lo in range(0, 1 << spec.k, chunk):
-        hi = min(lo + chunk, 1 << spec.k)
-        nums = np.arange(lo, hi, dtype=np.uint64)[:, None]
-        msgs = ((nums >> np.arange(spec.k, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
-        cws = encode(spec, msgs)
+    for _, cws in _codebook_chunks(spec):
         scores = (1.0 - 2.0 * cws) @ y
         mx = scores.max()
         if mx < best_score:
@@ -178,7 +171,6 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
                                                 bp_dtype=_BP_MC_DTYPE)
         x_hat = x_de[np.arange(fsz), select_winners(x_de, valid, y)[0]]
         u_hat = polar_transform(x_hat)
-        u_hat[:, spec.frozen] = 0
         # every candidate is one constituent run (1 iteration for SC/SCL)
         iters_sum = iters.sum(axis=1).astype(np.float64)
         runs = np.full(fsz, iters.shape[1], dtype=np.int64)

@@ -1,14 +1,15 @@
 """Affine automorphisms: compilation, group operations, sampling and the
 triangular factorization."""
 
+import math
+from collections import Counter
 from contextlib import closing
 
 import numpy as np
 import pytest
 
 import aedcodes.automorphisms as automorphisms
-from aedcodes import (AffineAutomorphism, Permutation, apply_permutation,
-                      compile_permutation, compile_tables, compose,
+from aedcodes import (AffineAutomorphism, compile_tables, compose,
                       enumerate_codebook, format_automorphism, group_order,
                       identity_automorphism, in_code, inverse, mlup_decompose,
                       parse_automorphism, rm_code, sample, sample_ensemble)
@@ -18,6 +19,11 @@ from aedcodes.automorphisms import (full_rank_windows, is_invertible,
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def table_of(aut):
+    """Compiled index table of one automorphism."""
+    return compile_tables([aut])[0]
+
 
 def all_invertible_matrices(m):
     found = []
@@ -56,11 +62,11 @@ def sample_ensemble_scalar(m, subgroup, count, rng, dedupe=True,
     out, seen = [], set()
     if include_identity:
         out.append(identity_automorphism(m))
-        seen.add(compile_permutation(out[0]).table.tobytes())
+        seen.add(table_of(out[0]).tobytes())
     while len(out) < count:
         aut = sample_ga_scalar(m, rng) if subgroup == "ga" else sample(m, subgroup, rng)
         if dedupe:
-            key = compile_permutation(aut).table.tobytes()
+            key = table_of(aut).tobytes()
             if key in seen:
                 continue
             seen.add(key)
@@ -85,14 +91,6 @@ def test_singular_matrix_rejected():
         AffineAutomorphism(2, (0b101, 0b10), 0)
 
 
-def test_permutation_must_be_bijection():
-    with pytest.raises(ValueError):
-        Permutation(4, np.array([0, 1, 1, 3]))
-    p = Permutation(4, np.array([2, 0, 3, 1]))
-    assert p(0) == 2
-    assert np.array_equal(p.inverse_table()[p.table], np.arange(4))
-
-
 def test_subgroup_predicates():
     lta = AffineAutomorphism(3, (0b001, 0b011, 0b111), 0b101)
     assert lta.is_lower_unitriangular and not lta.is_upper_unitriangular
@@ -111,15 +109,15 @@ def test_subgroup_predicates():
 
 def test_compile_identity_and_offset():
     ident = identity_automorphism(3)
-    assert np.array_equal(compile_permutation(ident).table, np.arange(8))
+    assert np.array_equal(table_of(ident), np.arange(8))
     offset = AffineAutomorphism(3, mat_identity(3), 1)
-    assert np.array_equal(compile_permutation(offset).table,
+    assert np.array_equal(table_of(offset),
                           np.array([1, 0, 3, 2, 5, 4, 7, 6]))
 
 
 def test_compile_bit_swap():
     swap = AffineAutomorphism(2, (0b10, 0b01), 0)
-    assert np.array_equal(compile_permutation(swap).table, np.array([0, 2, 1, 3]))
+    assert np.array_equal(table_of(swap), np.array([0, 2, 1, 3]))
 
 
 def test_compile_matches_bruteforce():
@@ -127,7 +125,7 @@ def test_compile_matches_bruteforce():
     for m in (1, 3, 6):
         for _ in range(20):
             aut = sample(m, "ga", rng)
-            assert np.array_equal(compile_permutation(aut).table, compile_brute(aut))
+            assert np.array_equal(table_of(aut), compile_brute(aut))
 
 
 def test_compile_tables_stacks():
@@ -135,7 +133,7 @@ def test_compile_tables_stacks():
     auts = [sample(4, "ga", rng) for _ in range(5)]
     tables = compile_tables(auts)
     for j, aut in enumerate(auts):
-        assert np.array_equal(tables[j], compile_permutation(aut).table)
+        assert np.array_equal(tables[j], table_of(aut))
 
 
 @pytest.mark.parametrize("m", [1, 8, 10])
@@ -149,15 +147,13 @@ def test_compile_tables_mixed_batch_matches_bruteforce(m):
         assert np.array_equal(table, compile_brute(aut))
 
 
-def test_apply_roundtrip_and_length():
+def test_table_gather_roundtrip():
     rng = np.random.default_rng(2)
     aut = sample(4, "ga", rng)
-    p = compile_permutation(aut)
-    pinv = compile_permutation(inverse(aut))
+    t, tinv = table_of(aut), table_of(inverse(aut))
     v = rng.normal(size=16)
-    assert np.allclose(apply_permutation(p, apply_permutation(pinv, v)), v)
-    with pytest.raises(ValueError):
-        apply_permutation(p, v[:8])
+    assert np.array_equal(v[tinv][t], v)
+    assert np.array_equal(tinv[t], np.arange(16))
 
 
 def test_codewords_stay_codewords():
@@ -165,9 +161,8 @@ def test_codewords_stay_codewords():
     rng = np.random.default_rng(3)
     for _ in range(50):
         aut = sample(4, "ga", rng)
-        p = compile_permutation(aut)
         cw = enumerate_codebook(spec)[int(rng.integers(0, 1 << spec.k))]
-        assert in_code(spec, apply_permutation(p, cw))
+        assert in_code(spec, cw[table_of(aut)])
 
 
 def test_codebook_mapped_onto_itself():
@@ -176,8 +171,8 @@ def test_codebook_mapped_onto_itself():
     as_set = {row.tobytes() for row in cb}
     rng = np.random.default_rng(4)
     for _ in range(10):
-        p = compile_permutation(sample(3, "ga", rng))
-        assert {apply_permutation(p, row).tobytes() for row in cb} == as_set
+        t = table_of(sample(3, "ga", rng))
+        assert {row[t].tobytes() for row in cb} == as_set
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +193,7 @@ def test_compose_matches_index_composition():
         for _ in range(30):
             p = sample(m, "ga", rng)
             q = sample(m, "ga", rng)
-            tp = compile_permutation(p).table
-            tq = compile_permutation(q).table
-            assert np.array_equal(compile_permutation(compose(p, q)).table, tp[tq])
+            assert np.array_equal(table_of(compose(p, q)), table_of(p)[table_of(q)])
 
 
 def test_compose_dimension_mismatch():
@@ -231,7 +224,7 @@ def test_ga3_has_1344_distinct_compiled_elements():
     seen = set()
     for rows in matrices:
         for b in range(8):
-            seen.add(compile_permutation(AffineAutomorphism(3, rows, b)).table.tobytes())
+            seen.add(table_of(AffineAutomorphism(3, rows, b)).tobytes())
     assert len(seen) == 1344
 
 
@@ -240,7 +233,7 @@ def test_lta3_enumeration_is_64():
     for bits in range(8):  # strictly-lower patterns: 1 + 2 bits
         rows = (0b001, 0b010 | (bits & 1), 0b100 | ((bits >> 1) & 3))
         for b in range(8):
-            seen.add(compile_permutation(AffineAutomorphism(3, rows, b)).table.tobytes())
+            seen.add(table_of(AffineAutomorphism(3, rows, b)).tobytes())
     assert len(seen) == 64
 
 
@@ -251,10 +244,42 @@ def test_samples_live_in_their_subgroup():
             assert sample(6, sub, rng).in_subgroup(sub)
 
 
+def assert_uniform(keys, order):
+    """Every one of `order` group elements is drawn, each count lies within
+    5 binomial standard deviations of its expectation, and the chi-square
+    statistic within 5 of its standard deviations of its mean."""
+    counts = Counter(keys)
+    assert len(counts) == order
+    expect = len(keys) / order
+    sd = math.sqrt(expect * (1 - 1 / order))
+    assert all(abs(c - expect) <= 5 * sd for c in counts.values())
+    chi2 = sum((c - expect) ** 2 / expect for c in counts.values())
+    assert chi2 <= (order - 1) + 5 * math.sqrt(2 * (order - 1))
+
+
+@pytest.mark.parametrize("m, subgroup, draws", [
+    (3, "pi", 6 * 1000), (4, "pi", 24 * 1000), (3, "lta", 64 * 300),
+    (3, "uta", 64 * 300)])
+def test_sample_is_uniform_on_small_groups(m, subgroup, draws):
+    rng = np.random.default_rng(40 + m)
+    keys = [(a.rows, a.b) for a in (sample(m, subgroup, rng) for _ in range(draws))]
+    assert_uniform(keys, group_order(subgroup, m))
+
+
+def test_sample_pi_coordinate_marginals_m8():
+    """Row j of a "pi" draw selects coordinate c with probability 1/8 for
+    every (j, c), and the draw never offsets."""
+    rng = np.random.default_rng(48)
+    draws = [sample(8, "pi", rng) for _ in range(8000)]
+    assert all(a.b == 0 for a in draws)
+    for j in range(8):
+        assert_uniform([a.rows[j].bit_length() - 1 for a in draws], 8)
+
+
 def test_sample_ensemble_dedupes():
     rng = np.random.default_rng(9)
     ens = sample_ensemble(3, "pi", 6, rng)
-    tables = {compile_permutation(a).table.tobytes() for a in ens}
+    tables = {table_of(a).tobytes() for a in ens}
     assert len(tables) == 6
     with pytest.raises(ValueError):
         sample_ensemble(3, "pi", 7, rng)
@@ -387,7 +412,7 @@ def test_every_ga3_element_reachable_as_lup_product():
     target = set()
     for rows in matrices:
         for b in range(8):
-            target.add(compile_permutation(AffineAutomorphism(3, rows, b)).table.tobytes())
+            target.add(table_of(AffineAutomorphism(3, rows, b)).tobytes())
     lowers = [AffineAutomorphism(3, (1, 2 | (bits & 1), 4 | ((bits >> 1) & 3)), b)
               for bits in range(8) for b in range(8)]
     uppers = [AffineAutomorphism(3, (1 | ((bits & 3) << 1), 2 | ((bits >> 2 & 1) << 2), 4), 0)
@@ -398,7 +423,7 @@ def test_every_ga3_element_reachable_as_lup_product():
     for lt in lowers:
         for ut in uppers:
             for pt in perms:
-                reached.add(compile_permutation(compose(compose(lt, ut), pt)).table.tobytes())
+                reached.add(table_of(compose(compose(lt, ut), pt)).tobytes())
     assert reached == target
 
 

@@ -103,6 +103,21 @@ def test_simulate_ensemble_manifest_roundtrip(tmp_path, capsys):
     assert [r[:-1] for r in parse_csv(out1)] == [r[:-1] for r in parse_csv(out2)]
 
 
+def test_simulate_manifest_with_wrong_type_is_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "ens.json"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--rm", "2,4", "--decoder", "sc", "--ensemble", "2",
+        "--ebn0", "2.0:2.0:1", "--frames", "10", "--target-errors", "0",
+        "--threads", "1", "--manifest-out", str(manifest))
+    assert code == 0
+    doc = json.loads(manifest.read_text())
+    doc["ensemble"]["resample_per_frame"] = "false"
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    assert code == 1 and out == ""
+    assert "resample_per_frame" in err
+
+
 def test_simulate_lta_ensemble_matches_plain_sc(tmp_path, capsys):
     base = ["--rm", "2,5", "--ebn0", "2.0:2.0:1", "--frames", "400",
             "--target-errors", "0", "--seed", "9", "--threads", "1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_ffg_decode,
-                      compile_permutation, encode, enumerate_codebook, in_code,
+                      compile_tables, encode, enumerate_codebook, in_code,
                       rm_code, sample, sc_decode, sc_decode_batch, scl_decode,
                       scl_decode_batch, polar_transform)
 from aedcodes.decoders import bp_decode_batch, _known_columns
@@ -104,7 +104,7 @@ def test_sc_lta_commutation_various_codes():
     for r, m in [(1, 4), (3, 6), (4, 8)]:
         spec = rm_code(r, m)
         for _ in range(30):
-            table = compile_permutation(sample(m, "lta", rng)).table
+            table = compile_tables([sample(m, "lta", rng)])[0]
             llr = rng.normal(0, 2, spec.n)
             _, xp = sc_decode_batch(spec, llr[None, table])
             _, x0 = sc_decode_batch(spec, llr[None, :])
@@ -118,7 +118,7 @@ def test_lta_preserves_msb_separation():
     for m in range(2, 7):
         half = 1 << (m - 1)
         for _ in range(20):
-            table = compile_permutation(sample(m, "lta", rng)).table
+            table = compile_tables([sample(m, "lta", rng)])[0]
             lowers = table[np.arange(half)]
             uppers = table[np.arange(half) + half]
             assert np.all(np.abs(lowers - uppers) == half)

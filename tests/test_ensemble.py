@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
-                      aed_decode, apply_permutation, compile_permutation,
-                      compile_tables, compose, conjugated_sc_branch, encode,
-                      identity_automorphism, in_code, inverse, mlup_decompose,
-                      rm_code, sample, sc_decode,
-                      verify_lta_absorption, verify_lta_commutation)
+                      aed_decode, bp_decode_batch, compile_tables, compose,
+                      conjugated_sc_branch, encode, identity_automorphism,
+                      in_code, inverse, mlup_decompose, polar_transform,
+                      rm_code, sample, sc_decode, sc_decode_batch,
+                      scl_decode_batch, verify_lta_absorption,
+                      verify_lta_commutation)
 from aedcodes.ensemble import decode_branches, decoder_from_dict
 
 
@@ -200,6 +201,46 @@ def test_conjugated_branch_uta_pi_fixed_point():
                               conjugated_sc_branch(spec, compose(ut, pt), llr))
 
 
+def constituent_candidates(spec, llrs, constituent):
+    """The constituent's codeword candidates of every row, (rows, L, N)."""
+    if isinstance(constituent, Sc):
+        return sc_decode_batch(spec, llrs)[1][:, None, :]
+    if isinstance(constituent, Scl):
+        return scl_decode_batch(spec, llrs, constituent.list_size)[1]
+    u = bp_decode_batch(spec, llrs, constituent.max_iters, constituent.stopping,
+                        constituent.reduce_graph)[0]
+    return polar_transform(u)[:, None, :]
+
+
+@pytest.mark.parametrize("constituent", [Sc(), Scl(4), Bp(5)],
+                         ids=["sc", "scl4", "bp5"])
+def test_branch_orientation_gather_then_inverse(constituent):
+    """Candidate j of decode_branches is the constituent's estimate on the
+    gathered input llr[t_j], read back through the explicit inverse table:
+    the compiled table of the inverse automorphism.  Shared (M, N) tables
+    and the same tables repeated per frame (F, M, N) give identical
+    results."""
+    spec = rm_code(2, 5)
+    rng = np.random.default_rng(31)
+    fsz, msz = 3, 4
+    auts = [sample(spec.m, "ga", rng) for _ in range(msz)]
+    tables = compile_tables(auts)
+    llrs = rng.normal(0.5, 2.0, (fsz, spec.n))
+    shared = decode_branches(spec, llrs, tables, constituent)
+    per_frame = decode_branches(spec, llrs, np.repeat(tables[None], fsz, axis=0),
+                                constituent)
+    for got_shared, got_per_frame in zip(shared, per_frame):
+        assert np.array_equal(got_shared, got_per_frame)
+    x_de, branch = shared[:2]
+    lsz = x_de.shape[1] // msz
+    assert np.array_equal(branch[0], np.arange(msz).repeat(lsz))
+    for j, (aut, t) in enumerate(zip(auts, tables)):
+        inv_t = compile_tables([inverse(aut)])[0]
+        assert np.array_equal(inv_t[t], np.arange(spec.n))
+        x = constituent_candidates(spec, llrs[:, t], constituent)
+        assert np.array_equal(x_de[:, j * lsz:(j + 1) * lsz], x[:, :, inv_t])
+
+
 def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
     # the two conjugation orientations enumerate the same branch set: the
     # ensemble branch under pi equals the conjugated branch under pi^{-1}
@@ -208,10 +249,8 @@ def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
     for _ in range(20):
         llr = rng.normal(0, 2, spec.n)
         aut = sample(spec.m, "ga", rng)
-        fwd = compile_permutation(aut)
-        inv_p = compile_permutation(inverse(aut))
-        paper = apply_permutation(inv_p,
-                                  sc_decode(spec, apply_permutation(fwd, llr)).x_hat)
+        fwd, inv_t = compile_tables([aut, inverse(aut)])
+        paper = sc_decode(spec, llr[fwd]).x_hat[inv_t]
         assert np.array_equal(paper, conjugated_sc_branch(spec, inverse(aut), llr))
 
 
@@ -227,6 +266,27 @@ def test_constituent_dict_roundtrip():
         assert decoder_from_dict(dec.to_dict(4)) == dec
     with pytest.raises(ValueError):
         decoder_from_dict({"kind": "viterbi"})
+
+
+@pytest.mark.parametrize("d", [
+    {"kind": "bp", "stopping": "false"},
+    {"kind": "bp", "reduce_graph": 0},
+    {"kind": "bp", "max_iters": 20.0},
+    {"kind": "bp", "max_iters": True},
+    {"kind": "scl", "list_size": 2.7},
+    {"kind": "scl", "list_size": "4"},
+    {"M": 2, "subgroup": "ga", "resample_per_frame": "false", "constituent": {"kind": "sc"}},
+    {"M": 2.0, "subgroup": "ga", "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": "ga", "seed": False, "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": 1, "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": "ga", "dedupe": 1, "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": "ga", "constituent": {"kind": "scl", "list_size": 1.5}},
+])
+def test_manifest_values_are_not_converted(d):
+    """A manifest value of the wrong JSON type is an error, not a value
+    converted into something the run never used ("false" is truthy)."""
+    with pytest.raises(ValueError):
+        decoder_from_dict(d)
 
 
 def test_ensemble_manifest_lists_fixed_automorphisms():
