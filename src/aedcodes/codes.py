@@ -293,10 +293,10 @@ def enumerate_codebook(spec: CodeSpec) -> np.ndarray:
     return out
 
 
-def _codebook_chunks(spec: CodeSpec, chunk: int = 1 << 14):
-    """The codebook in message counting order, `chunk` codewords at a time:
+def _codebook_chunks(spec: CodeSpec):
+    """The codebook in message counting order, 2**14 codewords at a time:
     yields (number of the first message, codewords) pairs."""
-    count = 1 << spec.k
+    count, chunk = 1 << spec.k, 1 << 14
     for lo in range(0, count, chunk):
         nums = np.arange(lo, min(lo + chunk, count), dtype=np.uint64)[:, None]
         msgs = ((nums >> np.arange(spec.k, dtype=np.uint64)[None, :]) & 1).astype(np.uint8)
