@@ -20,7 +20,7 @@ from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
 from .decoders import Bp, Sc, Scl, sc_decode
-from .ensemble import (EnsembleConfig, decoder_from_dict,
+from .ensemble import (EnsembleConfig, _manifest_value, decoder_from_dict,
                        verify_lta_absorption, verify_lta_commutation)
 from .simulation import CSV_HEADER, ChannelConfig, format_csv_row, run_mc
 
@@ -186,6 +186,26 @@ def _spec_from_manifest(d: dict) -> CodeSpec:
     return polar_code(int(c["m"]), frozen)
 
 
+def _run_from_manifest(man: dict) -> tuple:
+    """(ebn0_grid, frames, target_errors, seed, all_zero) of a manifest, by
+    decoder_from_dict's rule: a value must already have its JSON type and
+    is never converted.  frames and target_errors may be null and all_zero
+    absent (false); ChannelConfig rejects a negative seed."""
+    try:
+        grid = _manifest_value(man, "ebn0_grid", list)
+        frames, target = (None if man[key] is None else _manifest_value(man, key, int)
+                          for key in ("frames", "target_errors"))
+        seed = _manifest_value(man, "seed", int)
+    except KeyError as exc:
+        raise UsageError(f"manifest lacks {exc}") from None
+    all_zero = _manifest_value(man, "all_zero", bool) if "all_zero" in man else False
+    if not grid or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
+                           for e in grid):
+        raise UsageError(f"manifest key 'ebn0_grid' must be a non-empty list "
+                         f"of numbers, got {grid!r}")
+    return grid, frames, target, seed, all_zero
+
+
 def cmd_simulate(args) -> int:
     if args.from_manifest is not None:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
@@ -193,11 +213,8 @@ def cmd_simulate(args) -> int:
         spec = _spec_from_manifest(man)
         decoder = decoder_from_dict(man["ensemble"] if "ensemble" in man
                                     else man["constituent"])
-        grid = list(man["ebn0_grid"])
-        frames = man["frames"]
-        target = man["target_errors"]
-        seed = int(man["seed"])
-        all_zero = bool(man.get("all_zero", False))
+        grid, frames, target, seed, all_zero = _run_from_manifest(man)
+        channels = [ChannelConfig(float(e), spec.rate, seed=seed) for e in grid]
     else:
         spec = _resolve_code(args)
         decoder = _build_decoder(args)
@@ -212,6 +229,8 @@ def cmd_simulate(args) -> int:
         target = args.target_errors or None
         seed = args.seed
         all_zero = args.all_zero
+        # a bad seed fails here, before the manifest is written
+        channels = [ChannelConfig(e, spec.rate, seed=seed) for e in grid]
 
         man = {
             "tool": "aedcodes", "version": __version__,
@@ -231,12 +250,11 @@ def cmd_simulate(args) -> int:
         print(f"# manifest: {path}", file=sys.stderr)
 
     rows = []
-    for ebn0 in grid:
-        ch = ChannelConfig(float(ebn0), spec.rate, seed=seed)
+    for ch in channels:
         rec = run_mc(spec, decoder, ch, frames=frames, target_errors=target,
                      all_zero=all_zero, workers=max(1, args.threads))
         if rec.stopped_by == "cap":
-            print(f"# {ebn0:g} dB: stopped at the {rec.frames}-frame cap "
+            print(f"# {ch.ebn0_db:g} dB: stopped at the {rec.frames}-frame cap "
                   f"with {rec.block_errors} of {target} target errors",
                   file=sys.stderr)
         rows.append((ch, rec))

@@ -19,6 +19,16 @@ from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
 DecoderConfig = Sc | Scl | Bp
 
 
+def check_seed(seed) -> None:
+    """Accept only what every stream derivation takes as a seed: a
+    non-negative integer.  Raises TypeError for any other type (bool
+    included) and ValueError for a negative value."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Ensemble of `size` constituent decoders conjugated by sampled
@@ -47,6 +57,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("ensemble size must be >= 1")
+        check_seed(self.seed)
 
     @property
     def kind(self) -> str:

@@ -5,8 +5,15 @@ Every frame draws its message and noise from streams derived from
 (channel seed, frame index), so runs are reproducible bit-for-bit, results
 never depend on batching or worker count, and different decoder
 configurations under the same channel seed see identical noise (paired
-comparisons).  Monte-Carlo BP decoding runs with float32 messages for
-throughput; the decoder APIs themselves default to float64.
+comparisons).  Frame f's root stream is
+`np.random.SeedSequence(seed, spawn_key=(f,))` (_frame_stream); its first
+two spawned children seed `default_rng` for the message and the noise, and
+a resampled ensemble draws frame f's automorphisms from the root stream
+under its own seed.  _stream_states computes the PCG64 states of a whole
+chunk of such streams at once, reproducing numpy's hashing and seeding bit
+for bit, and the frame's draws run on one reseeded generator.
+Monte-Carlo BP decoding runs with float32 messages for throughput; the
+decoder APIs themselves default to float64.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
                     encode, polar_transform)
 from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
                        sc_decode_batch, scl_decode_batch)
-from .ensemble import EnsembleConfig, decode_branches, select_winners
+from .ensemble import (EnsembleConfig, check_seed, decode_branches,
+                       select_winners)
 
 BATCH_FRAMES = 256  # fixed evaluation granularity; results are independent of it
 # Frame budget of a run given only an error target: 100 errors at BLER 1e-4.
@@ -34,7 +42,8 @@ _BP_MC_DTYPE = np.float32
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """BI-AWGN channel at Eb/N0 `ebn0_db` for a code of rate `rate`."""
+    """BI-AWGN channel at Eb/N0 `ebn0_db` for a code of rate `rate`; `seed`,
+    a non-negative integer, names the frames' message and noise streams."""
 
     ebn0_db: float
     rate: float
@@ -43,6 +52,7 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate {self.rate} outside (0, 1]")
+        check_seed(self.seed)
 
     @property
     def sigma(self) -> float:
@@ -119,8 +129,120 @@ def ml_decode_oracle(spec: CodeSpec, y) -> np.ndarray:
 def _frame_stream(seed: int, frame: int) -> np.random.SeedSequence:
     """Root stream of one frame.  Under the channel seed its two children are
     the frame's message and noise streams; under an ensemble seed it draws
-    the frame's automorphisms."""
+    the frame's automorphisms.  This is the definition of a stream;
+    _stream_states computes the same generator states in bulk."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(frame,))
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
+# LCG multiplier, which _stream_states reproduces
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hashing
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """n as SeedSequence reads it: little-endian 32-bit words, at least one."""
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hash_consts(hc: int, mult: int, count: int) -> np.ndarray:
+    """hc and the `count` hash constants after it, each the previous one
+    times mult, as a (count + 1, 1, 1) uint32 array."""
+    out = [hc]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None, None]
+
+
+def _hashmix(value, pre, post):
+    """SeedSequence's hashmix of 32-bit `value` under hash constant `pre`,
+    whose successor is `post`; Python ints or uint32 arrays (which wrap)."""
+    value = (value ^ pre) * post & _M32
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit pool words."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return value ^ value >> _XSHIFT
+
+
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """Pool and entropy hash constant of SeedSequence(seed, spawn_key=...)
+    once the seed's words are mixed in; numpy pads them with zeros to the
+    pool size because a spawn key follows."""
+    ent = _words(seed)
+    ent += [0] * (_POOL_SIZE - len(ent))
+    hc = _INIT_A
+
+    def hashmix(value):
+        nonlocal hc
+        pre, hc = hc, hc * _MULT_A & _M32
+        return _hashmix(value, pre, hc)
+
+    pool = [hashmix(w) for w in ent[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in ent[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    return pool, hc
+
+
+def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> dict:
+    """`bit_generator.state` of a PCG64 seeded with the four words of
+    generate_state(4, uint64): inc = 2 (i0, i1) + 1, then from state 0 one
+    LCG step, add (s0, s1) and take another step."""
+    inc = ((i0 << 64 | i1) << 1 | 1) & _M128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
+    """PCG64 states, as default_rng seeds them, of the streams of frames
+    lo..hi-1 under `seed`.  Yields one tuple per frame f: with children == 0
+    the state of the root stream _frame_stream(seed, f), else those of the
+    first `children` streams that _frame_stream(seed, f).spawn() gives.
+
+    The stream of child c is SeedSequence(seed, spawn_key=(f, c)): its
+    entropy is the seed's words, zero-padded to the pool size, then f's
+    words, then c.  The seed's part of the pool is mixed once, in Python
+    ints; the frame and child words are mixed as uint32 arrays over the
+    whole chunk, split where f's word count changes (at 2**32; frame
+    indices stay below 2**64)."""
+    check_seed(seed)
+    pool0, hc0 = _seed_pool(int(seed))
+    while lo < hi:
+        nwords = len(_words(lo))
+        end = min(hi, 1 << 32 * nwords)
+        frames = np.arange(lo, end, dtype=np.uint64)
+        # pool (4, kinds, frames): frame words along the last axis, child
+        # words along the middle one
+        words = [(frames >> 32 * i & _M32).astype(np.uint32) for i in range(nwords)]
+        if children:
+            words.append(np.arange(children, dtype=np.uint32)[:, None])
+        pool, hc = np.array(pool0, dtype=np.uint32)[:, None, None], hc0
+        for w in words:  # pool word j is mixed with w hashed under constant j
+            ha = _hash_consts(hc, _MULT_A, _POOL_SIZE)
+            pool, hc = _mix(pool, _hashmix(w, ha[:-1], ha[1:])), int(ha[-1, 0, 0])
+        # generate_state(4, uint64): 8 words, cycling through the pool
+        state = _hashmix(np.concatenate([pool, pool]), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+        state = state.astype(np.uint64)
+        state = (state[0::2] | state[1::2] << 32).transpose(2, 1, 0)
+        for frame in state:  # (kinds, 4) words
+            yield tuple(_pcg64_state(*kind) for kind in frame.tolist())
+        lo = end
 
 
 def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
@@ -137,11 +259,14 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     sigma = ch.sigma
     msgs = np.zeros((fsz, k), dtype=np.uint8)
     noise = np.empty((fsz, n))
-    for t in range(fsz):
-        msg_ss, noise_ss = _frame_stream(ch.seed, lo + t).spawn(2)
+    rng = np.random.Generator(np.random.PCG64(0))  # reseeded for every stream
+    for t, (msg_state, noise_state) in enumerate(
+            _stream_states(ch.seed, lo, hi, children=2)):
         if not all_zero:
-            msgs[t] = np.random.default_rng(msg_ss).integers(0, 2, k, dtype=np.uint8)
-        noise[t] = np.random.default_rng(noise_ss).normal(0.0, sigma, n)
+            rng.bit_generator.state = msg_state
+            msgs[t] = rng.integers(0, 2, k, dtype=np.uint8)
+        rng.bit_generator.state = noise_state
+        noise[t] = rng.normal(0.0, sigma, n)
     x_true = encode(spec, msgs)
     y = (1.0 - 2.0 * x_true) + noise
     llr = saturate(2.0 * y / sigma ** 2)
@@ -161,11 +286,11 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     else:  # EnsembleConfig
         if decoder.resample_per_frame:
             # one compile for the automorphisms of every frame of the chunk
-            tables = compile_tables([
-                aut for t in range(fsz)
-                for aut in decoder.sample_automorphisms(
-                    spec.m, np.random.default_rng(_frame_stream(decoder.seed, lo + t)))
-            ]).reshape(fsz, decoder.size, n)
+            auts = []
+            for (state,) in _stream_states(decoder.seed, lo, hi):
+                rng.bit_generator.state = state
+                auts += decoder.sample_automorphisms(spec.m, rng)
+            tables = compile_tables(auts).reshape(fsz, decoder.size, n)
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,
                                                 bp_dtype=_BP_MC_DTYPE)

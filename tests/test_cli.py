@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import aedcodes.simulation as simulation
 from aedcodes import rm_code, write_frozen_file
@@ -116,6 +117,45 @@ def test_simulate_manifest_with_wrong_type_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
     assert code == 1 and out == ""
     assert "resample_per_frame" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("all_zero", "false"), ("all_zero", 0), ("seed", 3.9), ("seed", -1),
+    ("seed", True), ("frames", "200"), ("frames", 200.0),
+    ("target_errors", False), ("ebn0_grid", "2.0"), ("ebn0_grid", []),
+    ("ebn0_grid", [2.0, None]), ("seed", None)])
+def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, value):
+    """A manifest's run values must have their JSON type: "false" does not
+    replay as an all-zero run, nor 3.9 as seed 3."""
+    manifest = tmp_path / "run.json"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--rm", "2,4", "--decoder", "sc",
+        "--ebn0", "1.0:1.0:1", "--frames", "200", "--target-errors", "0",
+        "--seed", "3", "--threads", "1", "--manifest-out", str(manifest))
+    assert code == 0
+    doc = json.loads(manifest.read_text())
+    doc[key] = value
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    assert code == 1 and out == "" and key in err
+    del doc[key]
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    if key == "all_zero":  # optional, default false
+        assert code == 0
+    else:
+        assert code == 1 and out == "" and key in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--ensemble", "2"]])
+def test_simulate_negative_seed_fails_before_writing(tmp_path, capsys, monkeypatch,
+                                                     extra):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "simulate", "--rm", "2,4", "--ebn0", "1.0:1.0:1",
+                             "--frames", "10", "--seed", "-1", "--threads", "1",
+                             *extra)
+    assert code == 1 and out == "" and "seed" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_lta_ensemble_matches_plain_sc(tmp_path, capsys):

@@ -9,11 +9,24 @@ from aedcodes import (Bp, CapacityError, ChannelConfig, EnsembleConfig, Sc,
                       enumerate_codebook, ml_decode_oracle, rm_code, run_mc,
                       saturate, sc_decode, transmit)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
-                                 format_csv_row)
+                                 _stream_states, format_csv_row)
 
 
 # ---------------------------------------------------------------------------
 # channel
+
+def test_seed_must_be_a_non_negative_integer():
+    for bad, exc in [(-1, ValueError), (1.5, TypeError), (3.0, TypeError),
+                     ("3", TypeError), (True, TypeError), (None, TypeError)]:
+        with pytest.raises(exc):
+            ChannelConfig(2.0, 0.5, seed=bad)
+        with pytest.raises(exc):
+            EnsembleConfig(2, "ga", Sc(), seed=bad)
+        with pytest.raises(exc):
+            next(_stream_states(bad, 0, 2))
+    assert ChannelConfig(2.0, 0.5, seed=np.int64(3)).seed == 3
+    assert EnsembleConfig(2, "ga", Sc(), seed=2**130).seed == 2**130
+
 
 def test_sigma_formula():
     ch = ChannelConfig(2.0, 163 / 256)
@@ -203,6 +216,99 @@ def test_aed_decode_agrees_with_run_mc_frame_by_frame():
         xw, _, _ = aed_decode(spec, y, saturate(2.0 * y / ch.sigma ** 2),
                               cfg, perms)
         assert np.any(xw != x) == blk[f]
+
+
+# ---------------------------------------------------------------------------
+# frame streams: _stream_states against numpy's SeedSequence
+
+def _seedsequence_states(seed, lo, hi, children):
+    frames = []
+    for f in range(lo, hi):
+        root = _frame_stream(seed, f)
+        frames.append(tuple(np.random.PCG64(ss).state
+                            for ss in (root.spawn(children) if children else [root])))
+    return frames
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 1, 2**128,
+                                  2**130 + 5, (3 << 32) + 4 + 1])
+@pytest.mark.parametrize("lo,hi", [(0, 4), (9, 10), (2**32 - 2, 2**32 + 2),
+                                   (2**40 + 7, 2**40 + 9), (2**64 - 2, 2**64)])
+def test_stream_states_equal_seedsequence_states(seed, lo, hi):
+    for children in (0, 2, 3):
+        assert list(_stream_states(seed, lo, hi, children)) == \
+            _seedsequence_states(seed, lo, hi, children)
+
+
+# (channel seed, ensemble seed, lo, hi, all_zero); the fourth channel seed
+# has the benchmark's round-seed shape (c << 32) + j + 1
+STREAM_CASES = [
+    (0, 0, 0, 5, False),
+    (2**32, 2**32, 3, 7, False),
+    (2**70 + 1, 2**70 + 1, 0, 4, False),
+    ((3 << 32) + 4 + 1, 7, 0, 6, False),
+    (2**130 + 5, 2**130 + 5, 10, 13, False),
+    (5, 6, 2**32 + 10, 2**32 + 14, False),
+    (5, 6, 2**32 - 3, 2**32 + 3, False),
+    (9, 9, 17, 18, False),
+    (9, 9, 0, 5, True),
+]
+
+
+@pytest.mark.parametrize("ch_seed,ens_seed,lo,hi,all_zero", STREAM_CASES)
+def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_seed,
+                                                   lo, hi, all_zero):
+    """Messages, noise and resampled automorphisms of every frame equal the
+    draws of default_rng on the frame's SeedSequence streams, looped frame
+    by frame."""
+    spec = rm_code(2, 4)
+    ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
+    cfg = EnsembleConfig(3, "ga", Sc(), resample_per_frame=True, seed=ens_seed)
+    seen = {}
+    encode, decode_branches = simulation.encode, simulation.decode_branches
+
+    def spy_encode(spec, msgs):
+        seen.setdefault("msgs", msgs.copy())
+        return encode(spec, msgs)
+
+    def spy_decode(spec, llrs, tables, *args, **kwargs):
+        seen["llrs"], seen["tables"] = llrs.copy(), tables.copy()
+        return decode_branches(spec, llrs, tables, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "encode", spy_encode)
+    monkeypatch.setattr(simulation, "decode_branches", spy_decode)
+    _eval_chunk(spec, cfg, ch, lo, hi, all_zero)
+
+    msgs, llrs, auts = [], [], []
+    for f in range(lo, hi):
+        msg_ss, noise_ss = _frame_stream(ch_seed, f).spawn(2)
+        msg = np.zeros(spec.k, dtype=np.uint8) if all_zero else \
+            np.random.default_rng(msg_ss).integers(0, 2, spec.k, dtype=np.uint8)
+        y = (1.0 - 2.0 * encode(spec, msg)) + np.random.default_rng(noise_ss).normal(
+            0.0, ch.sigma, spec.n)
+        msgs.append(msg)
+        llrs.append(saturate(2.0 * y / ch.sigma ** 2))
+        auts += cfg.sample_automorphisms(
+            spec.m, np.random.default_rng(_frame_stream(ens_seed, f)))
+    assert np.array_equal(seen["msgs"], np.array(msgs))
+    assert np.array_equal(seen["llrs"], np.array(llrs))
+    assert np.array_equal(seen["tables"],
+                          compile_tables(auts).reshape(hi - lo, cfg.size, spec.n))
+
+
+@pytest.mark.parametrize("decoder", [
+    Sc(), Scl(4), Bp(max_iters=10),
+    EnsembleConfig(4, "ga", Sc(), resample_per_frame=True, seed=3)],
+    ids=["sc", "scl4", "bp10", "aut4-ga-sc"])
+def test_eval_chunk_is_independent_of_the_chunk_split(decoder):
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(1.5, spec.rate, seed=2**32 + 1)
+    whole = _eval_chunk(spec, decoder, ch, 0, 300, False)
+    parts = [_eval_chunk(spec, decoder, ch, lo, hi, False)
+             for lo, hi in ((0, 137), (137, 300))]
+    assert 0 < whole[0].sum() < 300
+    for a, b, c in zip(whole, *parts):
+        assert np.array_equal(a, np.concatenate([b, c]))
 
 
 def test_run_mc_parameter_validation():
