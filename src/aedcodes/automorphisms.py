@@ -12,9 +12,7 @@ unitriangular A, any b) and "pi" (permutation-matrix A, b = 0).
 
 from __future__ import annotations
 
-import itertools
 import math
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,15 +207,14 @@ def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphis
     """Uniform sample from the requested subgroup.
 
     "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large m;
-    see _ga_draws),
+    see _ga_batch),
     "lta"/"uta" draw the strictly sub/super-diagonal bits and the offset
     uniformly, "pi" draws a uniform permutation matrix with b = 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if subgroup == "ga":
-        with closing(_ga_draws(m, rng, 1)) as draws:
-            return next(draws)
+        return _ga_batch(m, rng, 1)[0]
     if subgroup == "lta":
         rows = tuple((1 << j) | int(rng.integers(0, 1 << j)) for j in range(m))
         return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
@@ -236,8 +233,8 @@ def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
                     include_identity: bool = False) -> list[AffineAutomorphism]:
     """Sample `count` automorphisms by repeated sample() draws; with dedupe,
     the pairs (A, b), and so the compiled index tables, are pairwise
-    distinct (redrawing on collision).  "ga" draws come in bulk
-    (_ga_draws), with the same result and final generator state."""
+    distinct (a collision is dropped and drawn again).  "ga" draws come in
+    batches (_ga_batch), with the same result and final generator state."""
     if count < 1:
         raise ValueError("ensemble size must be >= 1")
     if dedupe and count > group_order(subgroup, m):
@@ -248,54 +245,52 @@ def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
     if include_identity:
         out.append(identity_automorphism(m))
         seen.add((out[0].rows, out[0].b))
-    draws = (_ga_draws(m, rng, count) if subgroup == "ga"
-             else (sample(m, subgroup, rng) for _ in itertools.count()))
-    with closing(draws):
-        while len(out) < count:
-            aut = next(draws)
-            if dedupe:
-                key = (aut.rows, aut.b)
-                if key in seen:
-                    continue
+    while len(out) < count:
+        for aut in (_ga_batch(m, rng, count - len(out)) if subgroup == "ga"
+                    else [sample(m, subgroup, rng)]):
+            key = (aut.rows, aut.b)
+            if not dedupe or key not in seen:
                 seen.add(key)
-            out.append(aut)
+                out.append(aut)
     return out
 
 
-def _ga_draws(m: int, rng: np.random.Generator, hint: int):
-    """Uniform "ga" automorphisms by rejection, as array code; closing the
-    generator leaves `rng` just past the values the yielded ones used.
+def _ga_batch(m: int, rng: np.random.Generator,
+              count: int) -> list[AffineAutomorphism]:
+    """`count` uniform "ga" automorphisms by rejection, as array code;
+    `rng` is left just past the values they used.
 
     Each draw takes m row values, redrawn while they are singular, and then
     b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
     word of the generator, so one bulk draw gives the same values as
-    drawing them one matrix at a time.  Every m-value window of the draw is rank-tested at once;
-    the walk then skips m values for a singular window and takes m + 1
-    (rows, then b) for an invertible one.  The draw is extended, by enough
-    values for about `hint` automorphisms, whenever it runs out."""
+    drawing them one matrix at a time.  Every m-value window of the draw is
+    rank-tested at once; the walk then skips m values for a singular window
+    and takes m + 1 (rows, then b) for an invertible one.  The draw, sized
+    for about 1.5 `count` automorphisms, is extended by as much whenever it
+    runs out; then `rng` is rewound and redraws only the values used."""
     if m < 1:
         raise ValueError("m must be >= 1")
     p = group_order("ga", m) / (1 << (m * m + m))  # a uniform matrix is invertible
-    chunk = int(1.5 * hint * (m / p + 1)) + 2 * m + 2
+    chunk = int(1.5 * count * (m / p + 1)) + 2 * m + 2
     state = rng.bit_generator.state
     drawn = np.zeros(0, dtype=np.int64)
     ok: list[bool] = []  # ok[s]: drawn[s:s+m] is invertible
+    out: list[AffineAutomorphism] = []
     pos = 0
-    try:
-        while True:
-            if pos + m >= drawn.size:  # the window at pos or its b not drawn yet
-                more = rng.integers(0, 1 << m, size=chunk, dtype=np.int64)
-                drawn = np.concatenate([drawn, more])
-                ok += full_rank_windows(drawn[len(ok):], m).tolist()
-            elif not ok[pos]:
-                pos += m
-            else:
-                *rows, b = drawn[pos:pos + m + 1].tolist()
-                pos += m + 1
-                yield AffineAutomorphism(m, tuple(rows), b)
-    finally:
-        rng.bit_generator.state = state
-        rng.integers(0, 1 << m, size=pos, dtype=np.int64)
+    while len(out) < count:
+        if pos + m >= drawn.size:  # the window at pos or its b not drawn yet
+            more = rng.integers(0, 1 << m, size=chunk, dtype=np.int64)
+            drawn = np.concatenate([drawn, more])
+            ok += full_rank_windows(drawn[len(ok):], m).tolist()
+        elif not ok[pos]:
+            pos += m
+        else:
+            *rows, b = drawn[pos:pos + m + 1].tolist()
+            pos += m + 1
+            out.append(AffineAutomorphism(m, tuple(rows), b))
+    rng.bit_generator.state = state
+    rng.integers(0, 1 << m, size=pos, dtype=np.int64)
+    return out
 
 
 def group_order(subgroup: str, m: int) -> int:

@@ -20,8 +20,9 @@ from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
 from .decoders import Bp, Sc, Scl, sc_decode
-from .ensemble import (EnsembleConfig, _manifest_value, decoder_from_dict,
-                       verify_lta_absorption, verify_lta_commutation)
+from .ensemble import (EnsembleConfig, _check_manifest_keys, _manifest_value,
+                       decoder_from_dict, verify_lta_absorption,
+                       verify_lta_commutation)
 from .simulation import CSV_HEADER, ChannelConfig, format_csv_row, run_mc
 
 EXIT_OK = 0
@@ -178,19 +179,33 @@ def _build_decoder(args):
                           seed=args.seed)
 
 
-def _spec_from_manifest(d: dict) -> CodeSpec:
-    c = d["code"]
-    if c.get("rm") is not None:
-        return rm_code(*c["rm"])
-    frozen = np.frombuffer(c["frozen"].encode("ascii"), dtype=np.uint8) == ord("1")
-    return polar_code(int(c["m"]), frozen)
+def _spec_from_manifest(man: dict) -> CodeSpec:
+    """The code section, {"rm": [r, m]} or {"m": m, "frozen": "0110..."},
+    by decoder_from_dict's rule: no unknown keys, no converted values."""
+    c = _manifest_value(man, "code", dict)
+    try:
+        if "rm" in c:
+            _check_manifest_keys(c, {"rm"})
+            rm = _manifest_value(c, "rm", list)
+            if len(rm) != 2 or not all(type(v) is int for v in rm):
+                raise ValueError(f"'rm' must be two integers, got {rm!r}")
+            return rm_code(*rm)
+        _check_manifest_keys(c, {"m", "frozen"})
+        pattern = _manifest_value(c, "frozen", str)
+        if set(pattern) - {"0", "1"}:
+            raise ValueError(f"'frozen' must be a string of 0/1, got {pattern!r}")
+        frozen = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("1")
+        return polar_code(_manifest_value(c, "m", int), frozen)
+    except ValueError as exc:
+        raise UsageError(f"manifest section 'code': {exc}") from None
 
 
 def _run_from_manifest(man: dict) -> tuple:
     """(ebn0_grid, frames, target_errors, seed, all_zero) of a manifest, by
     decoder_from_dict's rule: a value must already have its JSON type and
     is never converted.  frames and target_errors may be null and all_zero
-    absent (false); ChannelConfig rejects a negative seed."""
+    absent (false); ChannelConfig rejects a negative seed and run_mc a
+    negative target_errors."""
     try:
         grid = _manifest_value(man, "ebn0_grid", list)
         frames, target = (None if man[key] is None else _manifest_value(man, key, int)
@@ -211,9 +226,14 @@ def cmd_simulate(args) -> int:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             man = json.load(fh)
         spec = _spec_from_manifest(man)
-        decoder = decoder_from_dict(man["ensemble"] if "ensemble" in man
-                                    else man["constituent"])
+        section = "ensemble" if "ensemble" in man else "constituent"
+        try:
+            decoder = decoder_from_dict(_manifest_value(man, section, dict))
+        except ValueError as exc:
+            raise UsageError(f"manifest section {section!r}: {exc}") from None
         grid, frames, target, seed, all_zero = _run_from_manifest(man)
+        _check_manifest_keys(man, {"tool", "version", "code", section, "ebn0_grid",
+                                   "frames", "target_errors", "seed", "all_zero"})
         channels = [ChannelConfig(float(e), spec.rate, seed=seed) for e in grid]
     else:
         spec = _resolve_code(args)
@@ -221,6 +241,8 @@ def cmd_simulate(args) -> int:
         if args.ebn0 is None:
             raise UsageError("--ebn0 START:STOP:COUNT is required")
         grid = _parse_grid(args.ebn0)
+        if args.target_errors < 0:
+            raise UsageError("--target-errors must be >= 0")
         if args.frames is None and not args.target_errors:
             raise UsageError("need --frames and/or a positive --target-errors")
         if args.frames is not None and args.frames < 1:

@@ -148,12 +148,6 @@ def saturate(llr, limit: float = L_MAX) -> np.ndarray:
     return np.clip(llr, -limit, limit)
 
 
-def _stage_view(flat, s):
-    """(B, N) -> (B, blocks, 2, 2**s); axis 2 separates upper/lower ports."""
-    b, n = flat.shape
-    return flat.reshape(b, n >> (s + 1), 2, 1 << s)
-
-
 # ---------------------------------------------------------------------------
 # successive cancellation
 

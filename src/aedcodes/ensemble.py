@@ -5,7 +5,7 @@ the SC/permutation commutation properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -206,7 +206,6 @@ class VerificationReport:
     name: str
     trials: int
     failures: int
-    details: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -225,8 +224,7 @@ def verify_lta_commutation(spec: CodeSpec, trials: int,
     if not is_decreasing(spec):
         raise ValueError("commutation holds for decreasing monomial codes only")
     failures = 0
-    details: list[str] = []
-    for t in range(trials):
+    for _ in range(trials):
         aut = sample(spec.m, "lta", rng)
         table = compile_tables([aut])[0]
         llr = rng.normal(0.0, 2.0, spec.n)
@@ -234,9 +232,7 @@ def verify_lta_commutation(spec: CodeSpec, trials: int,
         _, x_plain = sc_decode_batch(spec, llr[None, :])
         if not np.array_equal(x_perm[0], x_plain[0][table]):
             failures += 1
-            if len(details) < 4:
-                details.append(f"trial {t}: {format_automorphism(aut)}")
-    return VerificationReport("lta-commutation", trials, failures, details)
+    return VerificationReport("lta-commutation", trials, failures)
 
 
 def conjugated_sc_branch(spec: CodeSpec, aut: AffineAutomorphism, llr) -> np.ndarray:
@@ -261,8 +257,7 @@ def verify_lta_absorption(spec: CodeSpec, trials: int,
     if not is_decreasing(spec):
         raise ValueError("absorption holds for decreasing monomial codes only")
     failures = 0
-    details: list[str] = []
-    for t in range(trials):
+    for _ in range(trials):
         aut = sample(spec.m, "ga", rng)
         _, u_part, p_part = mlup_decompose(aut)
         llr = rng.normal(0.0, 2.0, spec.n)
@@ -270,9 +265,7 @@ def verify_lta_absorption(spec: CodeSpec, trials: int,
         reduced = conjugated_sc_branch(spec, compose(u_part, p_part), llr)
         if not np.array_equal(full, reduced):
             failures += 1
-            if len(details) < 4:
-                details.append(f"trial {t}: {format_automorphism(aut)}")
-    return VerificationReport("lta-absorption", trials, failures, details)
+    return VerificationReport("lta-absorption", trials, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +277,33 @@ def decoder_from_dict(d: dict) -> DecoderConfig | EnsembleConfig:
     A manifest is outside input: a value must already have its field's
     JSON type (booleans for bool fields, integers other than booleans for
     int fields) and is never converted; missing optional keys take their
-    defaults, and wrong types and unknown kinds raise ValueError."""
+    defaults, and unknown keys, missing required keys (an ensemble's "M"
+    and "subgroup"), wrong types and unknown kinds raise ValueError."""
     if "constituent" in d:
+        _check_manifest_keys(d, {*EnsembleConfig._KEYS, "constituent", "automorphisms"})
+        required = {f.name for f in fields(EnsembleConfig) if f.default is MISSING}
         return EnsembleConfig(
-            constituent=decoder_from_dict(d["constituent"]),
+            constituent=decoder_from_dict(_manifest_value(d, "constituent", dict)),
             **{name: _manifest_value(d, key, typ)
-               for key, (name, typ) in EnsembleConfig._KEYS.items() if key in d})
+               for key, (name, typ) in EnsembleConfig._KEYS.items()
+               if key in d or name in required})
     cls = {c.kind: c for c in (Sc, Scl, Bp)}.get(d.get("kind"))
     if cls is None:
         raise ValueError(f"unknown decoder kind {d.get('kind')!r}")
+    _check_manifest_keys(d, {"kind", *(f.name for f in fields(cls))})
     return cls(**{f.name: _manifest_value(d, f.name, type(f.default))
                   for f in fields(cls) if f.name in d})
 
 
+def _check_manifest_keys(d: dict, known: set[str]) -> None:
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise ValueError(f"unknown manifest keys {unknown}")
+
+
 def _manifest_value(d: dict, key: str, typ: type):
+    if key not in d:
+        raise ValueError(f"manifest lacks {key!r}")
     value = d[key]
     if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
         raise ValueError(f"manifest key {key!r} must be {typ.__name__}, got {value!r}")

@@ -316,6 +316,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     which.  The stopping frame is a pure function of the configuration, so
     records are reproducible and independent of `workers`.
     """
+    if target_errors is not None and target_errors < 0:
+        raise ValueError(f"target_errors must be >= 0, got {target_errors}")
     if frames is None and not target_errors:
         raise ValueError("need a frame budget or a block-error target")
     if frames is not None and frames < 1:

@@ -6,6 +6,7 @@ block-error target, so outcomes are deterministic for the pinned seeds.
 """
 
 import numpy as np
+import pytest
 
 from aedcodes import (AffineAutomorphism, Bp, ChannelConfig, EnsembleConfig,
                       Sc, Scl, aed_decode, compose,
@@ -161,6 +162,7 @@ def test_criterion_5_subcode_algebra():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_bler_reproduction():
     spec = rm_code(4, 8)
     points = [

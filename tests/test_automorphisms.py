@@ -3,7 +3,6 @@ triangular factorization."""
 
 import math
 from collections import Counter
-from contextlib import closing
 
 import numpy as np
 import pytest
@@ -283,6 +282,8 @@ def test_sample_ensemble_dedupes():
     assert len(tables) == 6
     with pytest.raises(ValueError):
         sample_ensemble(3, "pi", 7, rng)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        sample_ensemble(0, "ga", 1, rng)
 
 
 @pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
@@ -321,20 +322,37 @@ def test_sample_ensemble_pinned_draw():
     assert int(rng.integers(0, 1 << 30)) == 1036085921
 
 
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its `integers` calls."""
+
+    calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return super().integers(*args, **kwargs)
+
+
 @pytest.mark.parametrize("m", [1, 3, 8])
-def test_ga_draws_across_draw_extensions(m):
-    """With a zero size hint every bulk draw holds only 2m + 2 values, so
-    the walk keeps extending it and rank-test windows straddle the joins;
-    the draws and the final generator state are unchanged.  Single
-    sample(m, "ga") draws take the same path."""
-    new, ref = np.random.default_rng(30 + m), np.random.default_rng(30 + m)
-    for n in (1, 2, 12):
-        with closing(automorphisms._ga_draws(m, new, hint=0)) as draws:
-            got = [next(draws) for _ in range(n)]
+def test_ga_batch_across_draw_extensions(m):
+    """Batches of 1, 2 and 12, each followed by a single sample(m, "ga"),
+    on one generator: whenever a batch runs past its first bulk draw, the
+    walk extends it and rank-test windows straddle the join.  Each call
+    makes one bulk draw and one final redraw unless it extends; some trials
+    must extend, and every call must still give the scalar loop's draws and
+    final generator state."""
+    new = CountingGenerator(np.random.PCG64(30 + m))
+    ref = np.random.default_rng(30 + m)
+    extended = 0
+    for trial in range(300):
+        n = (1, 2, 12)[trial % 3]
+        before = new.calls
+        got = automorphisms._ga_batch(m, new, n)
         assert got == [sample_ga_scalar(m, ref) for _ in range(n)]
         assert new.bit_generator.state == ref.bit_generator.state
         assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
         assert new.bit_generator.state == ref.bit_generator.state
+        extended += new.calls - before > 4
+    assert extended > 0
 
 
 def test_rank_tests_find_the_168_invertible_3x3():

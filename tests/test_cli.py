@@ -123,10 +123,18 @@ def test_simulate_manifest_with_wrong_type_is_usage_error(tmp_path, capsys):
     ("all_zero", "false"), ("all_zero", 0), ("seed", 3.9), ("seed", -1),
     ("seed", True), ("frames", "200"), ("frames", 200.0),
     ("target_errors", False), ("ebn0_grid", "2.0"), ("ebn0_grid", []),
-    ("ebn0_grid", [2.0, None]), ("seed", None)])
+    ("ebn0_grid", [2.0, None]), ("seed", None), ("target_errors", -5),
+    ("code", {"rm": ["2", "4"]}), ("code", {"rm": [2.0, 4]}), ("code", {"rm": [2]}),
+    ("code", {"rm": [2, 4], "m": 4}), ("code", {"m": 4}), ("code", [2, 4]),
+    ("code", {"m": 4, "frozen": "2" * 16}),
+    ("constituent", {"kind": "scl", "list_sise": 4}), ("constituent", "sc"),
+    ("ensemble", {"subgroup": "ga", "constituent": {"kind": "sc"}}),
+    ("all_zeros", True)])
 def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, value):
     """A manifest's run values must have their JSON type: "false" does not
-    replay as an all-zero run, nor 3.9 as seed 3."""
+    replay as an all-zero run, nor 3.9 as seed 3.  The manifest and its
+    code and decoder sections take no unknown keys and lack no required
+    one."""
     manifest = tmp_path / "run.json"
     code, _, _ = run_cli(
         capsys, "simulate", "--rm", "2,4", "--decoder", "sc",
@@ -134,6 +142,7 @@ def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, v
         "--seed", "3", "--threads", "1", "--manifest-out", str(manifest))
     assert code == 0
     doc = json.loads(manifest.read_text())
+    added = key not in doc
     doc[key] = value
     manifest.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
@@ -141,20 +150,21 @@ def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, v
     del doc[key]
     manifest.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
-    if key == "all_zero":  # optional, default false
+    if added or key == "all_zero":  # the written manifest, or all_zero's default
         assert code == 0
     else:
         assert code == 1 and out == "" and key in err
 
 
-@pytest.mark.parametrize("extra", [[], ["--ensemble", "2"]])
-def test_simulate_negative_seed_fails_before_writing(tmp_path, capsys, monkeypatch,
-                                                     extra):
+@pytest.mark.parametrize("extra,key", [
+    (["--seed", "-1"], "seed"), (["--seed", "-1", "--ensemble", "2"], "seed"),
+    (["--target-errors", "-5"], "target-errors")])
+def test_simulate_negative_value_fails_before_writing(tmp_path, capsys, monkeypatch,
+                                                      extra, key):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "simulate", "--rm", "2,4", "--ebn0", "1.0:1.0:1",
-                             "--frames", "10", "--seed", "-1", "--threads", "1",
-                             *extra)
-    assert code == 1 and out == "" and "seed" in err
+                             "--frames", "10", "--threads", "1", *extra)
+    assert code == 1 and out == "" and key in err
     assert list(tmp_path.iterdir()) == []
 
 

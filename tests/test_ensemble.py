@@ -281,10 +281,19 @@ def test_constituent_dict_roundtrip():
     {"M": 2, "subgroup": 1, "constituent": {"kind": "sc"}},
     {"M": 2, "subgroup": "ga", "dedupe": 1, "constituent": {"kind": "sc"}},
     {"M": 2, "subgroup": "ga", "constituent": {"kind": "scl", "list_size": 1.5}},
+    {"kind": "scl", "list_sise": 4},
+    {"kind": "sc", "list_size": 4},
+    {"M": 2, "subgroup": "ga", "sise": 2, "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": "ga", "constituent": {"kind": "sc", "max_iters": 5}},
+    {"subgroup": "ga", "constituent": {"kind": "sc"}},
+    {"M": 2, "constituent": {"kind": "sc"}},
+    {"M": 2, "subgroup": "ga", "constituent": "sc"},
 ])
 def test_manifest_values_are_not_converted(d):
     """A manifest value of the wrong JSON type is an error, not a value
-    converted into something the run never used ("false" is truthy)."""
+    converted into something the run never used ("false" is truthy); so
+    are an unknown key (a misspelt one would replay as its default) and a
+    missing required one."""
     with pytest.raises(ValueError):
         decoder_from_dict(d)
 

@@ -318,6 +318,8 @@ def test_run_mc_parameter_validation():
         run_mc(spec, Sc(), ch, frames=None, target_errors=None)
     with pytest.raises(ValueError):
         run_mc(spec, Sc(), ch, frames=0)
+    with pytest.raises(ValueError, match="target_errors"):
+        run_mc(spec, Sc(), ch, frames=200, target_errors=-5)
     from aedcodes import polar_code
     with pytest.raises(ValueError):
         run_mc(polar_code(2, np.ones(4, bool)), Sc(), ChannelConfig(2.0, 0.5))
