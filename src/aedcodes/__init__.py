@@ -10,9 +10,8 @@ from .codes import (CapacityError, CodeSpec, Monomial, MonomialSet, encode,
                     is_decreasing, monomial_leq, pointwise_product_in_lower,
                     polar_code, polar_transform, read_frozen_file, rm_code,
                     split_subcodes, write_frozen_file)
-from .decoders import (L_MAX, Bp, DecodeOutput, Sc, Scl, bp_decode_batch,
-                       bp_ffg_decode, boxplus, saturate, sc_decode,
-                       sc_decode_batch, scl_decode, scl_decode_batch)
+from .decoders import (L_MAX, Bp, Sc, Scl, bp_decode_batch, boxplus, saturate,
+                       sc_decode_batch, scl_decode_batch)
 from .ensemble import (CandidateSet, EnsembleConfig, VerificationReport,
                        aed_decode, conjugated_sc_branch, decode_branches,
                        decoder_from_dict, select_winners,

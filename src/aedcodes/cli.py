@@ -19,7 +19,7 @@ from .automorphisms import SUBGROUPS, compose, mlup_decompose, sample
 from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
-from .decoders import Bp, Sc, Scl, sc_decode
+from .decoders import Bp, Sc, Scl, sc_decode_batch
 from .ensemble import (EnsembleConfig, _check_manifest_keys, _manifest_value,
                        decoder_from_dict, verify_lta_absorption,
                        verify_lta_commutation)
@@ -225,6 +225,15 @@ def cmd_simulate(args) -> int:
     if args.from_manifest is not None:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             man = json.load(fh)
+        if not isinstance(man, dict):
+            raise UsageError(f"manifest must be a JSON object, got {man!r}")
+        # a manifest replays only under the rules of the release that wrote it
+        for key, want in (("tool", "aedcodes"), ("version", __version__)):
+            if key not in man:
+                raise UsageError(f"manifest lacks {key!r}")
+            if man[key] != want:
+                raise UsageError(f"manifest key {key!r} must be {want!r}, "
+                                 f"got {man[key]!r}")
         spec = _spec_from_manifest(man)
         section = "ensemble" if "ensemble" in man else "constituent"
         try:
@@ -342,9 +351,9 @@ def cmd_verify(args) -> int:
         llr = rng.normal(0.0, 2.0, spec.n)
         msg = rng.integers(0, 2, spec.k, dtype=np.uint8)
         cw = encode(spec, msg)
-        flipped = sc_decode(spec, llr * (1.0 - 2.0 * cw)).x_hat
-        plain = sc_decode(spec, llr).x_hat ^ cw
-        bad += 0 if np.array_equal(flipped, plain) else 1
+        pair = np.stack([llr * (1.0 - 2.0 * cw), llr])
+        _, (flipped, plain) = sc_decode_batch(spec, pair)
+        bad += 0 if np.array_equal(flipped, plain ^ cw) else 1
     report("decoder linearity", bad == 0, f"{trials} trials, {bad} failures")
 
     # subcode splitting and pointwise products (exhaustive when small)

@@ -86,22 +86,6 @@ class Bp(_PlainConfig):
             raise ValueError("max_iters must be >= 1")
 
 
-@dataclass
-class DecodeOutput:
-    """Message and codeword estimates of one decode.
-
-    u_hat is the full-length message with frozen positions zeroed; restrict
-    it to spec.info_indices for the k information bits.  iterations_used is
-    1 for SC/SCL.  metric is the path metric for SCL candidates.
-    """
-
-    u_hat: np.ndarray
-    x_hat: np.ndarray
-    iterations_used: int = 1
-    converged: bool = True
-    metric: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # LLR kernels
 
@@ -144,28 +128,25 @@ def _boxplus_into(a, b, out):
     return out
 
 
-def saturate(llr, limit: float = L_MAX) -> np.ndarray:
-    return np.clip(llr, -limit, limit)
+def saturate(llr) -> np.ndarray:
+    return np.clip(llr, -L_MAX, L_MAX)
+
+
+def _check_rows(spec: CodeSpec, llrs: np.ndarray) -> None:
+    """Every decoder takes a 2-D batch of LLR rows, one row per frame."""
+    if llrs.ndim != 2 or llrs.shape[1] != spec.n:
+        raise ValueError(f"llrs must have shape (rows, N={spec.n}), "
+                         f"got {llrs.shape}")
 
 
 # ---------------------------------------------------------------------------
 # successive cancellation
 
-def _check_llr(spec: CodeSpec, llr) -> np.ndarray:
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (spec.n,):
-        raise ValueError(f"LLR length {llr.shape} != N={spec.n}")
-    return llr
-
-
-def sc_decode(spec: CodeSpec, llr) -> DecodeOutput:
-    """Depth-first SC decode of one LLR vector."""
-    u, x = sc_decode_batch(spec, _check_llr(spec, llr)[None, :])
-    return DecodeOutput(u_hat=u[0], x_hat=x[0])
-
-
 def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """SC-decode a (B, N) batch of LLR rows; returns (u_hat, x_hat) bits.
+
+    u_hat is the full-length message with frozen positions zeroed; restrict
+    it to spec.info_indices for the k information bits.
 
     Runs the node schedule of spec's frozen pattern (see _sc_schedule):
     f- and g-updates only inside mixed nodes, and one direct decision per
@@ -181,6 +162,7 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     about 1e12 or more.
     """
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    _check_rows(spec, llrs)
     bsz, n = llrs.shape
     m = spec.m
     llr_ws = [np.empty((bsz, 1 << s)) for s in range(m)] + [llrs]
@@ -265,25 +247,15 @@ def _sc_schedule(frozen: bytes) -> tuple[tuple[int, int, int, int, int], ...]:
 # ---------------------------------------------------------------------------
 # successive cancellation list
 
-def scl_decode(spec: CodeSpec, llr, list_size: int) -> list[DecodeOutput]:
-    """SCL decode; returns up to `list_size` candidates sorted by path metric.
-
-    The metric is the exact log-likelihood penalty, accumulated at every
-    leaf: pm += log(1 + exp(-(1-2u) * L)).  list_size=1 reproduces
-    sc_decode bit-exactly, away from the LLR ties that sc_decode_batch
-    describes.
-    """
-    if list_size < 1:
-        raise ValueError("list_size must be >= 1")
-    u, x, pm = scl_decode_batch(spec, _check_llr(spec, llr)[None, :], list_size)
-    return [DecodeOutput(u_hat=u[0, j], x_hat=x[0, j], metric=float(pm[0, j]))
-            for j in range(u.shape[1])]
-
-
 def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SCL-decode a (F, N) batch; returns (u, x, pm) shaped (F, L, N) twice
     and (F, L), metric-sorted per frame.
+
+    The metric is the exact log-likelihood penalty, accumulated at every
+    leaf: pm += log(1 + exp(-(1-2u) * L)).  list_size=1 reproduces
+    sc_decode_batch bit-exactly, away from the rate-1 LLR ties that its
+    docstring describes.
 
     Leaf-order SC on F*L path rows.  Stage s < m has an LLR workspace and
     a partial-sum workspace of 2**s columns; the channel stage keeps one
@@ -294,7 +266,10 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     path slots start at metric +inf and are displaced as soon as real
     forks appear.
     """
+    if list_size < 1:
+        raise ValueError(f"list_size must be >= 1, got {list_size}")
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    _check_rows(spec, llrs)
     fsz, n = llrs.shape
     m, lsize = spec.m, list_size
     rows = fsz * lsize
@@ -372,34 +347,28 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
 # ---------------------------------------------------------------------------
 # belief propagation on the stage graph
 
-def bp_ffg_decode(spec: CodeSpec, llr, max_iters: int = 200, stopping: bool = True,
-                  reduce_graph: bool = False) -> DecodeOutput:
-    """Flooding BP over the m-stage factor graph.
-
-    One iteration is a full right-to-left then left-to-right pass, stages
-    updated sequentially within each pass.  Frozen leaf priors are +L_MAX.
-    With `stopping`, the decode returns as soon as the codeword-side hard
-    decision equals the re-encoded message-side hard decision.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    u, x, iters, conv = bp_decode_batch(spec, _check_llr(spec, llr)[None, :],
-                                        max_iters, stopping, reduce_graph)
-    return DecodeOutput(u_hat=u[0], x_hat=x[0], iterations_used=int(iters[0]),
-                        converged=bool(conv[0]))
-
-
 def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
                     stopping: bool, reduce_graph: bool = False,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BP-decode a (B, N) batch; returns (u_hat, x_hat, iterations, converged).
+
+    Flooding BP over the m-stage factor graph.  One iteration is a full
+    right-to-left then left-to-right pass, stages updated sequentially
+    within each pass.  Frozen leaf priors are +L_MAX.  With `stopping`, a
+    row stops as soon as its codeword-side hard decision equals the
+    re-encoded message-side hard decision; a row that never does, or any
+    row without `stopping`, runs all max_iters iterations and returns
+    converged False.
 
     Messages are stored batch-last as (stage, N, B) so every update runs on
     contiguous batch-length runs.  Rows are dropped from the working set
     once converged (their outputs are frozen at the converging iteration),
     so mixed-difficulty batches only pay for the rows still running.
     """
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     llrs = np.asarray(llrs)
+    _check_rows(spec, llrs)
     bsz, n = llrs.shape
     if bsz > _BP_ROW_SLAB:
         parts = [bp_decode_batch(spec, llrs[lo:lo + _BP_ROW_SLAB], max_iters,
@@ -425,6 +394,11 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     def view(col, s):
         return col.reshape(n >> (s + 1), 2, 1 << s, col.shape[-1])
 
+    def hard_decisions():
+        u_hd = ((lmsg[0] + rmsg[0]) < 0).T
+        u_hd[:, frozen] = False
+        return u_hd, (((lmsg[m] + rmsg[m]) < 0).T).astype(np.uint8)
+
     active = np.arange(bsz)
     alive = np.ones(bsz, dtype=bool)  # rows of the workspace still running
     for it in range(1, max_iters + 1):
@@ -448,9 +422,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
                 rmsg[s + 1][pinned[s + 1], :] = dtype(L_MAX)
         if not stopping:
             continue
-        u_hd = ((lmsg[0] + rmsg[0]) < 0).T
-        u_hd[:, frozen] = False
-        x_hd = (((lmsg[m] + rmsg[m]) < 0).T).astype(np.uint8)
+        u_hd, x_hd = hard_decisions()
         hit = np.flatnonzero(alive & np.all(polar_transform(u_hd) == x_hd, axis=1))
         if hit.size:
             done = active[hit]
@@ -470,9 +442,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
                 rmsg = np.ascontiguousarray(rmsg[:, :, alive])
                 alive = np.ones(live, dtype=bool)
     if alive.any():
-        u_hd = ((lmsg[0] + rmsg[0]) < 0).T
-        u_hd[:, frozen] = False
-        x_hd = (((lmsg[m] + rmsg[m]) < 0).T).astype(np.uint8)
+        u_hd, x_hd = hard_decisions()
         rest = active[alive]
         u_out[rest] = u_hd[alive]
         x_out[rest] = x_hd[alive]

@@ -13,7 +13,7 @@ from aedcodes import (AffineAutomorphism, Bp, ChannelConfig, EnsembleConfig,
                       encode, enumerate_codebook, in_code, is_decreasing,
                       mlup_decompose, ml_decode_oracle, polar_transform,
                       rm_code, run_mc, sample, sc_decode_batch,
-                      scl_decode, split_subcodes, transmit,
+                      scl_decode_batch, split_subcodes, transmit,
                       pointwise_product_in_lower, verify_lta_absorption,
                       verify_lta_commutation)
 from aedcodes.automorphisms import mat_inv
@@ -223,7 +223,7 @@ def test_criterion_7_ml_oracle_equivalence():
             x = encode(spec, u)
             y, llr = transmit(spec, u, ch, rng)
             ml = ml_decode_oracle(spec, y)
-            full = scl_decode(spec, llr, 1 << spec.k)[0].x_hat
+            full = scl_decode_batch(spec, llr[None], 1 << spec.k)[1][0, 0]
             scl_mismatch += not np.array_equal(full, ml)
             e_oracle += not np.array_equal(ml, x)
             xw, _, _ = aed_decode(spec, y, llr, cfg, perms)

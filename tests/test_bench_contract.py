@@ -1,0 +1,57 @@
+"""The benchmark's tracer against the package it instruments.
+
+bench/tracing.py times the layers of run_mc from outside the package: it
+replaces, for the length of a `with` block, the module attributes through
+which run_mc, _eval_chunk and decode_branches call the other modules.  If
+one of those call sites moves, the tracer either fails to install or,
+silently, attributes no work to a decoder kernel.  These tests turn both
+into failures.  They import bench/tracing.py by path and change nothing in
+bench/.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+import aedcodes as ae
+from aedcodes import ChannelConfig, EnsembleConfig, Sc, Scl, rm_code, run_mc
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
+@pytest.mark.parametrize("module,attr", [entry[:2] for entry in
+                                         tracing.SPANS + tracing.COUNTERS])
+def test_traced_attribute_exists(module, attr):
+    assert callable(getattr(getattr(ae, module), attr))
+
+
+@pytest.mark.parametrize("decoder,counts", [
+    (Sc(), {"decoders.sc_rows": 8}),
+    (EnsembleConfig(2, "ga", Sc(), resample_per_frame=True, seed=1),
+     {"decoders.sc_rows": 16, "automorphisms.kept": 16}),
+    (Scl(2), {"decoders.scl_rows": 8}),
+], ids=["sc", "aut2-ga-sc-resampled", "scl2"])
+def test_tracer_counts_kernel_rows(decoder, counts):
+    """8 RM(2,5) frames: one SC or SCL row per frame, and M = 2 SC rows and
+    M automorphisms per frame for the resampled ensemble."""
+    spec = rm_code(2, 5)
+    tracer = tracing.Tracer()
+    with tracer.installed(ae):
+        rec = run_mc(spec, decoder, ChannelConfig(2.0, spec.rate, seed=3),
+                     frames=8, target_errors=None)
+    assert rec.frames == 8
+    got = tracer.take_counts()
+    assert {key: got[key] for key in counts} == counts
+    assert ae.simulation.sc_decode_batch is ae.decoders.sc_decode_batch
+    assert ae.ensemble.sc_decode_batch is ae.decoders.sc_decode_batch

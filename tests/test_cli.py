@@ -119,6 +119,14 @@ def test_simulate_manifest_with_wrong_type_is_usage_error(tmp_path, capsys):
     assert "resample_per_frame" in err
 
 
+@pytest.mark.parametrize("doc", [5, "tool", ["tool", "version"], None])
+def test_simulate_manifest_that_is_not_an_object_is_usage_error(tmp_path, capsys, doc):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    assert code == 1 and out == "" and "JSON object" in err
+
+
 @pytest.mark.parametrize("key,value", [
     ("all_zero", "false"), ("all_zero", 0), ("seed", 3.9), ("seed", -1),
     ("seed", True), ("frames", "200"), ("frames", 200.0),
@@ -129,12 +137,12 @@ def test_simulate_manifest_with_wrong_type_is_usage_error(tmp_path, capsys):
     ("code", {"m": 4, "frozen": "2" * 16}),
     ("constituent", {"kind": "scl", "list_sise": 4}), ("constituent", "sc"),
     ("ensemble", {"subgroup": "ga", "constituent": {"kind": "sc"}}),
-    ("all_zeros", True)])
+    ("all_zeros", True), ("version", "0.1.0"), ("tool", "other")])
 def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, value):
     """A manifest's run values must have their JSON type: "false" does not
     replay as an all-zero run, nor 3.9 as seed 3.  The manifest and its
     code and decoder sections take no unknown keys and lack no required
-    one."""
+    one, and a manifest of another tool or version does not replay."""
     manifest = tmp_path / "run.json"
     code, _, _ = run_cli(
         capsys, "simulate", "--rm", "2,4", "--decoder", "sc",

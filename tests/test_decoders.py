@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_ffg_decode,
+from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       compile_tables, encode, enumerate_codebook, in_code,
-                      rm_code, sample, sc_decode, sc_decode_batch, scl_decode,
-                      scl_decode_batch, polar_transform)
-from aedcodes.decoders import bp_decode_batch, _known_columns
+                      rm_code, sample, sc_decode_batch, scl_decode_batch,
+                      polar_transform)
+from aedcodes.decoders import _known_columns
 
 
 def noiseless_llrs(codewords):
@@ -61,9 +61,8 @@ def test_boxplus_exactly_odd():
 
 def test_sc_all_positive_gives_zero():
     spec = rm_code(2, 5)
-    out = sc_decode(spec, np.full(spec.n, L_MAX))
-    assert not out.u_hat.any() and not out.x_hat.any()
-    assert out.iterations_used == 1 and out.converged
+    u, x = sc_decode_batch(spec, np.full((1, spec.n), L_MAX))
+    assert not u.any() and not x.any()
 
 
 def test_sc_noiseless_exhaustive_rm24():
@@ -84,8 +83,8 @@ def test_sc_output_is_always_a_codeword():
 
 
 def test_sc_length_mismatch():
-    with pytest.raises(ValueError):
-        sc_decode(rm_code(1, 3), np.zeros(4))
+    with pytest.raises(ValueError, match="N=8"):
+        sc_decode_batch(rm_code(1, 3), np.zeros((1, 4)))
 
 
 def test_sc_sign_flip_linearity():
@@ -144,22 +143,22 @@ def test_scl_noiseless_metric_zero():
     # log1p(exp(-|L|)) residues, zero to double precision
     spec = rm_code(2, 4)
     cw = enumerate_codebook(spec)[77]
-    outs = scl_decode(spec, noiseless_llrs(cw), 4)
-    assert np.array_equal(outs[0].x_hat, cw)
-    assert 0.0 <= outs[0].metric < 1e-12
-    assert all(outs[i].metric <= outs[i + 1].metric for i in range(len(outs) - 1))
+    _, x, pm = scl_decode_batch(spec, noiseless_llrs(cw)[None], 4)
+    assert np.array_equal(x[0, 0], cw)
+    assert 0.0 <= pm[0, 0] < 1e-12
+    assert np.all(pm[0, :-1] <= pm[0, 1:])
 
 
 def test_scl_candidates_are_codewords_and_consistent():
     spec = rm_code(2, 5)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        outs = scl_decode(spec, rng.normal(0, 2, spec.n), 8)
-        assert len(outs) == 8
-        for out in outs:
-            assert in_code(spec, out.x_hat)
-            assert np.array_equal(encode(spec, out.u_hat[spec.info_indices]), out.x_hat)
-            assert out.metric >= 0.0
+        u, x, pm = scl_decode_batch(spec, rng.normal(0, 2, (1, spec.n)), 8)
+        assert x.shape == (1, 8, spec.n) and pm.shape == (1, 8)
+        for u_hat, x_hat in zip(u[0], x[0]):
+            assert in_code(spec, x_hat)
+            assert np.array_equal(encode(spec, u_hat[spec.info_indices]), x_hat)
+        assert np.all(pm >= 0.0)
 
 
 def test_scl_matches_ml_oracle_rm13():
@@ -170,7 +169,7 @@ def test_scl_matches_ml_oracle_rm13():
     for _ in range(300):
         msg = rng.integers(0, 2, spec.k, dtype=np.uint8)
         y = (1.0 - 2.0 * encode(spec, msg)) + rng.normal(0, 0.9, spec.n)
-        best = scl_decode(spec, 2.0 * y / 0.81, 1 << spec.k)[0].x_hat
+        best = scl_decode_batch(spec, 2.0 * y[None] / 0.81, 1 << spec.k)[1][0, 0]
         ml = cb[np.argmax(signs @ y)]
         assert np.array_equal(best, ml)
 
@@ -187,16 +186,15 @@ def test_scl_doubling_never_hurts_best_metric():
 
 def test_scl_short_code_pads_with_unused_slots():
     spec = rm_code(0, 2)  # k = 1, only two codewords
-    outs = scl_decode(spec, np.array([1.0, -2.0, 0.5, 3.0]), 8)
-    finite = [o for o in outs if np.isfinite(o.metric)]
-    assert len(finite) == 2
+    _, _, pm = scl_decode_batch(spec, np.array([[1.0, -2.0, 0.5, 3.0]]), 8)
+    assert np.count_nonzero(np.isfinite(pm)) == 2
 
 
 def test_scl_parameter_errors():
-    with pytest.raises(ValueError):
-        scl_decode(rm_code(1, 3), np.zeros(8), 0)
-    with pytest.raises(ValueError):
-        scl_decode(rm_code(1, 3), np.zeros(4), 2)
+    with pytest.raises(ValueError, match="list_size must be >= 1, got 0"):
+        scl_decode_batch(rm_code(1, 3), np.zeros((1, 8)), 0)
+    with pytest.raises(ValueError, match="N=8"):
+        scl_decode_batch(rm_code(1, 3), np.zeros((1, 4)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +203,9 @@ def test_scl_parameter_errors():
 def test_bp_noiseless_converges_first_iteration():
     spec = rm_code(2, 4)
     cw = enumerate_codebook(spec)[33]
-    out = bp_ffg_decode(spec, noiseless_llrs(cw), max_iters=50)
-    assert out.converged and out.iterations_used == 1
-    assert np.array_equal(out.x_hat, cw)
+    _, x, iters, conv = bp_decode_batch(spec, noiseless_llrs(cw)[None], 50, True)
+    assert conv[0] and iters[0] == 1
+    assert np.array_equal(x[0], cw)
 
 
 def test_bp_converged_implies_reencoding_identity():
@@ -284,10 +282,30 @@ def test_bp_reduced_graph_agrees_at_default_priors():
 
 
 def test_bp_parameter_errors():
-    with pytest.raises(ValueError):
-        bp_ffg_decode(rm_code(1, 3), np.zeros(8), max_iters=0)
-    with pytest.raises(ValueError):
-        bp_ffg_decode(rm_code(1, 3), np.zeros(4))
+    with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
+        bp_decode_batch(rm_code(1, 3), np.zeros((1, 8)), 0, True)
+    with pytest.raises(ValueError, match="N=8"):
+        bp_decode_batch(rm_code(1, 3), np.zeros((1, 4)), 5, True)
+    # more rows than one BP workspace holds, which the kernel splits
+    with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
+        bp_decode_batch(rm_code(1, 3), np.zeros((3000, 8)), 0, True)
+
+
+KERNELS = {
+    "sc": sc_decode_batch,
+    "scl": lambda spec, llrs: scl_decode_batch(spec, llrs, 2),
+    "bp": lambda spec, llrs: bp_decode_batch(spec, llrs, 5, True),
+}
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 4), (3, 16), (2, 1, 8)],
+                         ids=["1d", "narrow", "wide", "3d"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_take_only_rows_of_n_llrs(kernel, shape):
+    """Every decoder takes a 2-D batch of N-wide LLR rows; a single frame
+    is a batch of one, llr[None]."""
+    with pytest.raises(ValueError, match=r"N=8\b"):
+        KERNELS[kernel](rm_code(1, 3), np.zeros(shape))
 
 
 def test_decoder_config_validation():

@@ -7,7 +7,7 @@ from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
                       aed_decode, bp_decode_batch, compile_tables, compose,
                       conjugated_sc_branch, encode, identity_automorphism,
                       in_code, inverse, mlup_decompose, polar_transform,
-                      rm_code, sample, sc_decode, sc_decode_batch,
+                      rm_code, sample, sc_decode_batch,
                       scl_decode_batch, verify_lta_absorption,
                       verify_lta_commutation)
 from aedcodes.ensemble import decode_branches, decoder_from_dict
@@ -31,7 +31,7 @@ def test_single_identity_branch_is_plain_sc():
         _, y, llr = make_frame(spec, rng)
         xw, wi, cands = aed_decode(spec, y, llr, cfg, [identity_automorphism(4)])
         assert wi == 0 and len(cands) == 1
-        assert np.array_equal(xw, sc_decode(spec, llr).x_hat)
+        assert np.array_equal(xw, sc_decode_batch(spec, llr[None])[1][0])
 
 
 def test_lta_branches_all_collapse_to_sc():
@@ -42,7 +42,7 @@ def test_lta_branches_all_collapse_to_sc():
     for _ in range(20):
         _, y, llr = make_frame(spec, rng)
         xw, _, cands = aed_decode(spec, y, llr, cfg, perms)
-        plain = sc_decode(spec, llr).x_hat
+        plain = sc_decode_batch(spec, llr[None])[1][0]
         assert np.array_equal(xw, plain)
         assert all(np.array_equal(cands.x[j], plain) for j in range(len(cands)))
 
@@ -135,7 +135,7 @@ def test_ensemble_with_identity_never_loses_to_plain_sc_much():
     frames = 400
     for _ in range(frames):
         x, y, llr = make_frame(spec, rng, sigma=0.85)
-        err_plain += not np.array_equal(sc_decode(spec, llr).x_hat, x)
+        err_plain += not np.array_equal(sc_decode_batch(spec, llr[None])[1][0], x)
         xw, _, _ = aed_decode(spec, y, llr, cfg, perms)
         err_aed += not np.array_equal(xw, x)
     sigma_bound = 2.0 * np.sqrt(max(err_plain, 1)) + 1
@@ -179,7 +179,7 @@ def test_conjugated_branch_lta_equals_plain():
         llr = rng.normal(0, 2, spec.n)
         aut = sample(spec.m, "lta", rng)
         assert np.array_equal(conjugated_sc_branch(spec, aut, llr),
-                              sc_decode(spec, llr).x_hat)
+                              sc_decode_batch(spec, llr[None])[1][0])
 
 
 def test_conjugated_branch_uta_pi_fixed_point():
@@ -250,7 +250,7 @@ def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
         llr = rng.normal(0, 2, spec.n)
         aut = sample(spec.m, "ga", rng)
         fwd, inv_t = compile_tables([aut, inverse(aut)])
-        paper = sc_decode(spec, llr[fwd]).x_hat[inv_t]
+        paper = sc_decode_batch(spec, llr[None, fwd])[1][0][inv_t]
         assert np.array_equal(paper, conjugated_sc_branch(spec, inverse(aut), llr))
 
 

@@ -7,7 +7,7 @@ import aedcodes.simulation as simulation
 from aedcodes import (Bp, CapacityError, ChannelConfig, EnsembleConfig, Sc,
                       Scl, aed_decode, compile_tables, encode,
                       enumerate_codebook, ml_decode_oracle, rm_code, run_mc,
-                      saturate, sc_decode, transmit)
+                      saturate, sc_decode_batch, transmit)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
                                  _stream_states, format_csv_row)
 
@@ -98,7 +98,7 @@ def test_oracle_never_beaten_by_sc_paired():
         x = encode(spec, u)
         y, llr = transmit(spec, u, ch, rng)
         oracle_err += not np.array_equal(ml_decode_oracle(spec, y), x)
-        sc_err += not np.array_equal(sc_decode(spec, llr).x_hat, x)
+        sc_err += not np.array_equal(sc_decode_batch(spec, llr[None])[1][0], x)
     assert oracle_err <= sc_err
 
 
