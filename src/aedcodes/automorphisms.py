@@ -235,11 +235,7 @@ def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
     the pairs (A, b), and so the compiled index tables, are pairwise
     distinct (a collision is dropped and drawn again).  "ga" draws come in
     batches (_ga_batch), with the same result and final generator state."""
-    if count < 1:
-        raise ValueError("ensemble size must be >= 1")
-    if dedupe and count > group_order(subgroup, m):
-        raise ValueError(f"cannot draw {count} distinct elements from "
-                         f"{subgroup}({m}) of order {group_order(subgroup, m)}")
+    check_ensemble(m, subgroup, count, dedupe)
     out: list[AffineAutomorphism] = []
     seen: set[tuple] = set()
     if include_identity:
@@ -253,6 +249,19 @@ def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
                 seen.add(key)
                 out.append(aut)
     return out
+
+
+def check_ensemble(m: int, subgroup: str, count: int, dedupe: bool = True) -> None:
+    """Raise ValueError unless sample_ensemble can draw `count` elements of
+    `subgroup` for length 2**m: m >= 1, count >= 1 and, with dedupe, count
+    at most the subgroup's order."""
+    if m < 1:
+        raise ValueError(f"cannot draw automorphisms for m={m}: m must be >= 1")
+    if count < 1:
+        raise ValueError("ensemble size must be >= 1")
+    if dedupe and count > group_order(subgroup, m):
+        raise ValueError(f"cannot draw {count} distinct elements from "
+                         f"{subgroup}({m}) of order {group_order(subgroup, m)}")
 
 
 def _ga_batch(m: int, rng: np.random.Generator,

@@ -272,6 +272,8 @@ def cmd_simulate(args) -> int:
             "ebn0_grid": grid, "frames": frames, "target_errors": target,
             "seed": seed, "all_zero": all_zero,
         }
+        if isinstance(decoder, EnsembleConfig):
+            decoder.check_drawable(spec.m)
         section = decoder.to_dict(spec.m)
         # an ensemble's section nests its constituent's
         man["ensemble" if "constituent" in section else "constituent"] = section

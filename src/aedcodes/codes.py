@@ -208,33 +208,57 @@ def is_decreasing(spec: CodeSpec) -> bool:
     return True
 
 
-def polar_transform(bits: np.ndarray) -> np.ndarray:
+# _STAGE_MASKS[s]: ones at the bit positions whose bit s is clear
+_STAGE_MASKS = (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF)
+
+
+def polar_transform(bits) -> np.ndarray:
     """Apply G_N = F^{kron m} to the last axis over GF(2).
 
-    The transform is an involution, so it both encodes (u -> u G_N) and
-    inverts (x -> x G_N = u).
+    `bits` is an integer or boolean array whose last axis has length
+    N = 2**m; a nonzero entry counts as 1.  Returns a new uint8 array of
+    0/1 values and leaves `bits` unchanged.  The transform is an
+    involution, so it both encodes (u -> u G_N) and inverts
+    (x -> x G_N = u).
+
+    Stage s XORs bit i + 2**s into bit i wherever bit s of i is clear.  The
+    bits are packed, little-endian, into words of min(N, 64) bits (at least
+    a byte); a stage below the word width is
+    w ^= (w >> 2**s) & _STAGE_MASKS[s] on every word, and a higher one XORs
+    whole words 2**(s - 6) apart.
     """
-    x = np.ascontiguousarray(bits, dtype=np.uint8).copy()
-    n = x.shape[-1]
-    if n & (n - 1):
+    bits = np.asarray(bits)
+    n = bits.shape[-1]
+    if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
     m = n.bit_length() - 1
-    v = x.reshape(-1, n)
-    for s in range(m):
-        blk = v.reshape(v.shape[0], n >> (s + 1), 2, 1 << s)
-        blk[:, :, 0, :] ^= blk[:, :, 1, :]
-    return x
+    word = np.dtype(f"<u{min(max(n >> 3, 1), 8)}")
+    w = np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little")).view(word)
+    t = np.empty_like(w)
+    for s in range(min(m, 6)):
+        np.right_shift(w, 1 << s, out=t)
+        t &= word.type(_STAGE_MASKS[s] & ((1 << 8 * word.itemsize) - 1))
+        w ^= t
+    v = w.reshape(-1, w.shape[-1])
+    for s in range(6, m):
+        blk = v.reshape(v.shape[0], v.shape[1] >> (s - 5), 2, 1 << (s - 6))
+        blk[:, :, 0] ^= blk[:, :, 1]
+    return np.unpackbits(w.view(np.uint8), axis=-1, count=n, bitorder="little")
 
 
 def encode(spec: CodeSpec, u) -> np.ndarray:
     """Encode message(s) u of length k into codeword(s) x = u G of length N.
 
     Message coordinate i multiplies the generator row with the i-th smallest
-    info index.  Accepts a single message or a batch with k on the last axis.
+    info index.  Accepts a single message or a batch with k on the last axis;
+    every message value must be 0 or 1.
     """
-    u = np.asarray(u, dtype=np.uint8)
+    u = np.asarray(u)
     if u.shape[-1] != spec.k:
         raise ValueError(f"message length {u.shape[-1]} != k={spec.k}")
+    if np.any((u != 0) & (u != 1)):
+        raise ValueError("message values must be 0 or 1")
     full = np.zeros(u.shape[:-1] + (spec.n,), dtype=np.uint8)
     full[..., spec.info_indices] = u
     return polar_transform(full)

@@ -9,9 +9,9 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .automorphisms import (AffineAutomorphism, compile_tables, compose,
-                            format_automorphism, inverse, mlup_decompose,
-                            sample, sample_ensemble)
+from .automorphisms import (AffineAutomorphism, check_ensemble, compile_tables,
+                            compose, format_automorphism, inverse,
+                            mlup_decompose, sample, sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
 from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
                        scl_decode_batch)
@@ -76,6 +76,11 @@ class EnsembleConfig:
             out["automorphisms"] = [format_automorphism(a)
                                     for a in self.sample_automorphisms(m)]
         return out
+
+    def check_drawable(self, m: int) -> None:
+        """Raise ValueError unless the ensemble can be drawn for length
+        2**m (check_ensemble), before a run or its manifest starts."""
+        check_ensemble(m, self.subgroup, self.size, self.dedupe)
 
     def sample_automorphisms(self, m: int, rng=None) -> list[AffineAutomorphism]:
         if rng is None:

@@ -11,7 +11,11 @@ two spawned children seed `default_rng` for the message and the noise, and
 a resampled ensemble draws frame f's automorphisms from the root stream
 under its own seed.  _stream_states computes the PCG64 states of a whole
 chunk of such streams at once, reproducing numpy's hashing and seeding bit
-for bit, and the frame's draws run on one reseeded generator.
+for bit, and the frame's draws run on one reseeded generator.  Message
+bits are read from raw PCG64 words, bit-identical to
+`Generator.integers(0, 2, k, dtype=uint8)` (see _eval_chunk);
+_frame_stream and Generator.integers remain the definition and the test
+oracle.
 Monte-Carlo BP decoding runs with float32 messages for throughput; the
 decoder APIs themselves default to float64.
 """
@@ -257,16 +261,22 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     fsz = hi - lo
     n, k = spec.n, spec.k
     sigma = ch.sigma
-    msgs = np.zeros((fsz, k), dtype=np.uint8)
+    # integers(0, 2, k, dtype=uint8) returns the top bit of byte j of the
+    # little-endian stream of raw 64-bit words as message bit j (numpy's
+    # bounded uint8 method never rejects for a range of 2), so a message
+    # takes ceil(k / 8) raw words
+    raw = np.zeros((fsz, -(-k // 8)), dtype="<u8")
     noise = np.empty((fsz, n))
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded for every stream
+    bitgen = rng.bit_generator
     for t, (msg_state, noise_state) in enumerate(
             _stream_states(ch.seed, lo, hi, children=2)):
         if not all_zero:
-            rng.bit_generator.state = msg_state
-            msgs[t] = rng.integers(0, 2, k, dtype=np.uint8)
-        rng.bit_generator.state = noise_state
+            bitgen.state = msg_state
+            raw[t] = bitgen.random_raw(raw.shape[1])
+        bitgen.state = noise_state
         noise[t] = rng.normal(0.0, sigma, n)
+    msgs = raw.view(np.uint8)[:, :k] >> 7
     x_true = encode(spec, msgs)
     y = (1.0 - 2.0 * x_true) + noise
     llr = saturate(2.0 * y / sigma ** 2)
@@ -328,9 +338,11 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     target = target_errors if target_errors else None
     t0 = time.perf_counter()
     tables = None
-    if isinstance(decoder, EnsembleConfig) and not decoder.resample_per_frame:
-        # a fixed ensemble is drawn and compiled once, for every chunk
-        tables = compile_tables(decoder.sample_automorphisms(spec.m))
+    if isinstance(decoder, EnsembleConfig):
+        decoder.check_drawable(spec.m)  # a resampled one draws only in the chunks
+        if not decoder.resample_per_frame:
+            # a fixed ensemble is drawn and compiled once, for every chunk
+            tables = compile_tables(decoder.sample_automorphisms(spec.m))
 
     tot = {"frames": 0, "blk": 0, "bits": 0, "iters": 0.0, "runs": 0,
            "stopped_by": "frames" if frames is not None else "cap"}

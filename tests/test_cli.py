@@ -176,6 +176,19 @@ def test_simulate_negative_value_fails_before_writing(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("rm,size,extra", [
+    ("1,2", "40", ["--subgroup", "lta"]), ("0,0", "2", [])],
+    ids=["larger-than-group", "m0"])
+def test_simulate_undrawable_ensemble_fails_before_writing(tmp_path, capsys, rm,
+                                                          size, extra):
+    code, out, err = run_cli(capsys, "simulate", "--rm", rm, "--ebn0", "1:1:1",
+                             "--frames", "20", "--ensemble", size,
+                             "--resample-per-frame", "--threads", "1",
+                             "--manifest-out", str(tmp_path / "run.json"), *extra)
+    assert code == 1 and out == "" and "cannot draw" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_lta_ensemble_matches_plain_sc(tmp_path, capsys):
     base = ["--rm", "2,5", "--ebn0", "2.0:2.0:1", "--frames", "400",
             "--target-errors", "0", "--seed", "9", "--threads", "1",

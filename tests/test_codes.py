@@ -216,10 +216,63 @@ def test_encode_length_mismatch():
         encode(rm_code(1, 3), [0, 1])
 
 
+def test_encode_rejects_non_binary_messages():
+    spec = rm_code(1, 3)
+    for bad in ([2, 0, 0, 0], [0, -1, 0, 0], [0, 0.5, 0, 0],
+                [[0, 1, 0, 1], [0, 0, 3, 0]]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(spec, bad)
+    assert np.array_equal(encode(spec, np.array([True, False, True, True])),
+                          encode(spec, [1, 0, 1, 1]))
+
+
 def test_polar_transform_is_involution():
     rng = np.random.default_rng(4)
     x = rng.integers(0, 2, (10, 64), dtype=np.uint8)
     assert np.array_equal(polar_transform(polar_transform(x)), x)
+
+
+def bytewise_polar_transform(bits):
+    """Reference transform: stage s XORs strided single bytes, bit i + 2**s
+    into bit i wherever bit s of i is clear."""
+    x = np.ascontiguousarray(bits, dtype=np.uint8).copy()
+    n = x.shape[-1]
+    v = x.reshape(-1, n)
+    for s in range(n.bit_length() - 1):
+        blk = v.reshape(v.shape[0], n >> (s + 1), 2, 1 << s)
+        blk[:, :, 0, :] ^= blk[:, :, 1, :]
+    return x
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_polar_transform_matches_bytewise_reference(m):
+    """The packed transform equals the bytewise one below, at and above the
+    64-bit word width, for every batch shape; it returns a new uint8 array
+    and leaves its input alone."""
+    n = 1 << m
+    rng = np.random.default_rng(m)
+    for shape in [(n,), (3, n), (2, 3, n), (0, n)]:
+        x = rng.integers(0, 2, shape, dtype=np.uint8)
+        before = x.copy()
+        y = polar_transform(x)
+        assert y.dtype == np.uint8 and y.shape == shape
+        assert np.array_equal(y, bytewise_polar_transform(x))
+        assert np.array_equal(x, before) and not np.shares_memory(x, y)
+    b = rng.integers(0, 2, (5, n)).astype(bool)
+    assert np.array_equal(polar_transform(b), bytewise_polar_transform(b))
+    strided = rng.integers(0, 2, (4, 2 * n), dtype=np.uint8)[:, ::2]
+    transposed = rng.integers(0, 2, (n, 5), dtype=np.uint8).T
+    for x in (strided, transposed):
+        assert m == 0 or not x.flags.c_contiguous
+        assert np.array_equal(polar_transform(x), bytewise_polar_transform(x))
+
+
+def test_polar_transform_counts_nonzero_as_one():
+    x = np.array([[2, 0, 0, 0, 255, 1, 0, 7], [0, 3, 0, 0, 0, 0, 0, -1]])
+    assert np.array_equal(polar_transform(x), polar_transform(x != 0))
+    for n in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            polar_transform(np.zeros((2, n), np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,15 @@ def test_stream_states_equal_seedsequence_states(seed, lo, hi):
             _seedsequence_states(seed, lo, hi, children)
 
 
+def _seedsequence_message(spec, seed, frame, all_zero=False):
+    """The definition of frame `frame`'s message: integers(0, 2, k) drawn by
+    default_rng on the first child of its root stream."""
+    if all_zero:
+        return np.zeros(spec.k, dtype=np.uint8)
+    msg_ss = _frame_stream(seed, frame).spawn(2)[0]
+    return np.random.default_rng(msg_ss).integers(0, 2, spec.k, dtype=np.uint8)
+
+
 # (channel seed, ensemble seed, lo, hi, all_zero); the fourth channel seed
 # has the benchmark's round-seed shape (c << 32) + j + 1
 STREAM_CASES = [
@@ -281,9 +290,8 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
 
     msgs, llrs, auts = [], [], []
     for f in range(lo, hi):
-        msg_ss, noise_ss = _frame_stream(ch_seed, f).spawn(2)
-        msg = np.zeros(spec.k, dtype=np.uint8) if all_zero else \
-            np.random.default_rng(msg_ss).integers(0, 2, spec.k, dtype=np.uint8)
+        msg = _seedsequence_message(spec, ch_seed, f, all_zero)
+        noise_ss = _frame_stream(ch_seed, f).spawn(2)[1]
         y = (1.0 - 2.0 * encode(spec, msg)) + np.random.default_rng(noise_ss).normal(
             0.0, ch.sigma, spec.n)
         msgs.append(msg)
@@ -294,6 +302,35 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
     assert np.array_equal(seen["llrs"], np.array(llrs))
     assert np.array_equal(seen["tables"],
                           compile_tables(auts).reshape(hi - lo, cfg.size, spec.n))
+
+
+@pytest.mark.parametrize("r,m,lo,hi,all_zero", [
+    (0, 4, 0, 5, False),                 # k = 1
+    (1, 6, 3, 9, False),                 # k = 7, less than a byte
+    (3, 7, 0, 4, False),                 # k = 64, a whole 64-bit word
+    (4, 8, 254, 259, False),             # k = 163
+    (4, 4, 0, 4, False),                 # k = N
+    (4, 8, 0, 3, True),
+    (2, 5, 2**32 - 2, 2**32 + 2, False),  # across frame 2**32
+], ids=["k1", "k7", "k64", "k163", "kN", "all-zero", "frame-2^32"])
+def test_eval_chunk_messages_equal_integers_draws(monkeypatch, r, m, lo, hi, all_zero):
+    """The chunk's messages, read from raw PCG64 words, equal
+    integers(0, 2, k, dtype=uint8) on every frame's message stream, for
+    message lengths across byte and word boundaries."""
+    spec = rm_code(r, m)
+    seed = (5 << 32) + 3
+    seen = []
+    encode = simulation.encode
+
+    def spy_encode(spec, msgs):
+        seen.append(msgs.copy())
+        return encode(spec, msgs)
+
+    monkeypatch.setattr(simulation, "encode", spy_encode)
+    _eval_chunk(spec, Sc(), ChannelConfig(1.0, spec.rate, seed=seed), lo, hi, all_zero)
+    want = [_seedsequence_message(spec, seed, f, all_zero) for f in range(lo, hi)]
+    assert seen[0].dtype == np.uint8
+    assert np.array_equal(seen[0], np.array(want))
 
 
 @pytest.mark.parametrize("decoder", [
@@ -323,6 +360,22 @@ def test_run_mc_parameter_validation():
     from aedcodes import polar_code
     with pytest.raises(ValueError):
         run_mc(polar_code(2, np.ones(4, bool)), Sc(), ChannelConfig(2.0, 0.5))
+
+
+@pytest.mark.parametrize("r,m,size,subgroup,message", [
+    (1, 2, 40, "lta", "cannot draw 40 distinct elements from lta"),
+    (0, 0, 2, "ga", "m must be >= 1")], ids=["larger-than-group", "m0"])
+def test_run_mc_refuses_an_undrawable_ensemble_before_any_chunk(
+        monkeypatch, r, m, size, subgroup, message):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(simulation, "_eval_chunk", no_chunk)
+    spec = rm_code(r, m)
+    for resample in (True, False):
+        cfg = EnsembleConfig(size, subgroup, Sc(), resample_per_frame=resample)
+        with pytest.raises(ValueError, match=message):
+            run_mc(spec, cfg, ChannelConfig(1.0, spec.rate), frames=20)
 
 
 def test_run_mc_stops_at_the_frame_cap(monkeypatch):
