@@ -1,10 +1,11 @@
 """Monomial (Reed-Muller / polar) codes, SC / SCL / BP decoders, automorphism
 ensemble decoding and an AWGN Monte-Carlo harness."""
 
-from .automorphisms import (SUBGROUPS, AffineAutomorphism, compile_tables,
-                            compose, format_automorphism, group_order,
-                            identity_automorphism, inverse, mlup_decompose,
-                            parse_automorphism, sample, sample_ensemble)
+from .automorphisms import (SUBGROUPS, AffineAutomorphism, AutomorphismBatch,
+                            compile_tables, compose, format_automorphism,
+                            group_order, identity_automorphism, inverse,
+                            mlup_decompose, parse_automorphism, sample,
+                            sample_ensemble)
 from .codes import (CapacityError, CodeSpec, Monomial, MonomialSet, encode,
                     enumerate_codebook, in_code, index_to_monomial_mask,
                     is_decreasing, monomial_leq, pointwise_product_in_lower,

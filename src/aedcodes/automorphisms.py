@@ -8,16 +8,26 @@ products, inverses and elimination cheap for m <= 20.
 
 Subgroups: "ga" (all invertible A, any b), "lta"/"uta" (lower/upper
 unitriangular A, any b) and "pi" (permutation-matrix A, b = 0).
+
+A sampled ensemble stays arrays (AutomorphismBatch) from the draw through
+the compile; AffineAutomorphism objects are built only where a caller
+indexes or iterates a batch.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 SUBGROUPS = ("ga", "lta", "uta", "pi")
+# generators whose "ga" draws sample_ensemble rank-tests in one _ga_batch
+# call: enough to amortise numpy's per-call cost, while one call over a
+# 256-frame chunk (about 14 MB of transient arrays at m = 8) raised the
+# process's peak RSS
+_GA_GENERATORS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +95,25 @@ def is_invertible(a, m: int) -> bool:
 
 
 def full_rank_windows(vals: np.ndarray, m: int) -> np.ndarray:
-    """Invertibility flag of every m-row window vals[s:s+m] (row bitmasks),
-    s = 0 .. len(vals) - m: the reduction of is_invertible run over all
-    windows at once, one row step at a time.  Row i of every window is held
-    in one contiguous array of the narrowest unsigned type."""
-    nwin = vals.size - m + 1
+    """Invertibility flag of every m-row window vals[..., s:s+m] (row
+    bitmasks along the last axis), s = 0 .. vals.shape[-1] - m: the
+    reduction of is_invertible run over all windows, of every leading index,
+    at once, one row step at a time.  Row i of every window is held in one
+    contiguous array of the narrowest unsigned type.  A zero row has no
+    pivot and reduces nothing, so a window is invertible exactly when no
+    row of it ends up zero."""
+    nwin = vals.shape[-1] - m + 1
     if nwin < 1:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(vals.shape[:-1] + (0,), dtype=bool)
     dt = np.min_scalar_type((1 << m) - 1)
     v = vals.astype(dt)
-    w = np.stack([v[i:i + nwin] for i in range(m)])  # w[i, s] = vals[s + i]
-    ok = np.ones(nwin, dtype=bool)
+    w = np.stack([v[..., i:i + nwin] for i in range(m)])  # w[i, ..., s] = vals[..., s + i]
     for i in range(m - 1):
         r = w[i]
-        ok &= r != 0
-        pivot = r & (~r + dt.type(1))  # lowest set bit
+        pivot = r & -r  # lowest set bit
         later = w[i + 1:]
         later ^= r * ((later & pivot) != 0)
-    return ok & (w[m - 1] != 0)
+    return np.all(w != 0, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,25 +175,85 @@ def identity_automorphism(m: int) -> AffineAutomorphism:
     return AffineAutomorphism(m, mat_identity(m), 0)
 
 
+@dataclass(frozen=True, eq=False)
+class AutomorphismBatch:
+    """K automorphisms of GF(2)^m as arrays: rows (K, m) int64 row bitmasks
+    and b (K,) int64 offsets.  The arrays are taken as given (sample_ensemble
+    makes only invertible ones); indexing or iterating builds, and so
+    checks, AffineAutomorphism objects.  A batch equals a batch or a list of
+    the same automorphisms in the same order."""
+
+    rows: np.ndarray
+    b: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[1]
+
+    @classmethod
+    def of(cls, auts: AutomorphismBatch | Iterable[AffineAutomorphism]
+           ) -> AutomorphismBatch:
+        """`auts` itself if it is a batch, else its automorphisms as one."""
+        if isinstance(auts, cls):
+            return auts
+        auts = list(auts)
+        rows = np.array([a.rows for a in auts], dtype=np.int64)
+        return cls(rows.reshape(len(auts), auts[0].m),
+                   np.array([a.b for a in auts], dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.b)
+
+    def __getitem__(self, i: int) -> AffineAutomorphism:
+        return AffineAutomorphism(self.m, tuple(self.rows[i].tolist()), int(self.b[i]))
+
+    def __iter__(self):
+        m = self.m
+        for rows, b in zip(self.rows.tolist(), self.b.tolist()):
+            yield AffineAutomorphism(m, tuple(rows), b)
+
+    def __eq__(self, other):
+        if isinstance(other, AutomorphismBatch):
+            return (np.array_equal(self.rows, other.rows)
+                    and np.array_equal(self.b, other.b))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+
 # ---------------------------------------------------------------------------
 # operations
 
-def compile_tables(auts: list[AffineAutomorphism]) -> np.ndarray:
-    """Compiled index tables of several same-dimension automorphisms,
-    stacked as (len(auts), 2**m): table[i] = pi(i) with
-    binary(pi(i)) = A binary(i) + b.  The table is the only vector form of
-    an automorphism; v[table] permutes bits or LLRs (w_i = v[pi(i)]).
+def compile_tables(auts: AutomorphismBatch | Iterable[AffineAutomorphism]
+                   ) -> np.ndarray:
+    """Compiled index tables of several same-dimension automorphisms (a
+    batch, or objects, converted once), stacked as (len(auts), 2**m):
+    table[i] = pi(i) with binary(pi(i)) = A binary(i) + b.  The table is the
+    only vector form of an automorphism; v[table] permutes bits or LLRs
+    (w_i = v[pi(i)]).
 
-    One affine pass: pi(0) = b, and the indices with top bit k are those
-    below 2**k XOR-ed with column k of A, pi(i + 2**k) = pi(i) ^ A e_k."""
-    m = auts[0].m
-    rows = np.array([a.rows for a in auts], dtype=np.int64).reshape(len(auts), m)
+    The index is split into its low h = m // 2 bits and its high m - h:
+    pi(i) = lo[i mod 2**h] ^ hi[i >> h], where lo is the table of b and the
+    low columns of A, and hi that of the high columns (_span_tables).  The
+    whole table is then one broadcast XOR of the two."""
+    auts = AutomorphismBatch.of(auts)
+    m, h = auts.m, auts.m // 2
+    rows = auts.rows
     cols = np.zeros_like(rows)  # cols[:, k] = A e_k: bit j is A[j, k]
     for j in range(m):
         cols |= ((rows[:, j, None] >> np.arange(m)) & 1) << j
-    out = np.empty((len(auts), 1 << m), dtype=np.int64)
-    out[:, 0] = [a.b for a in auts]
-    for k in range(m):
+    lo = _span_tables(auts.b, cols[:, :h])
+    hi = _span_tables(np.zeros_like(auts.b), cols[:, h:])
+    return (hi[:, :, None] ^ lo[:, None, :]).reshape(len(auts), 1 << m)
+
+
+def _span_tables(first: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(K, 2**c) tables of the c columns `cols`: t[:, i] is `first` XOR the
+    columns k whose bit k is set in i, built in one affine pass,
+    t[:, i + 2**k] = t[:, i] ^ cols[:, k]."""
+    out = np.empty((len(first), 1 << cols.shape[1]), dtype=np.int64)
+    out[:, 0] = first
+    for k in range(cols.shape[1]):
         out[:, 1 << k:2 << k] = out[:, :1 << k] ^ cols[:, k:k + 1]
     return out
 
@@ -204,51 +275,71 @@ def inverse(p: AffineAutomorphism) -> AffineAutomorphism:
 
 
 def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphism:
-    """Uniform sample from the requested subgroup.
+    """Uniform sample from the requested subgroup: the one-element
+    sample_ensemble.
 
     "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large m;
     see _ga_batch),
     "lta"/"uta" draw the strictly sub/super-diagonal bits and the offset
     uniformly, "pi" draws a uniform permutation matrix with b = 0.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if subgroup == "ga":
-        return _ga_batch(m, rng, 1)[0]
-    if subgroup == "lta":
-        rows = tuple((1 << j) | int(rng.integers(0, 1 << j)) for j in range(m))
-        return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
-    if subgroup == "uta":
-        rows = tuple((1 << j) | (int(rng.integers(0, 1 << (m - 1 - j))) << (j + 1))
-                     for j in range(m))
-        return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
-    if subgroup == "pi":
-        cols = rng.permutation(m)
-        return AffineAutomorphism(m, tuple(1 << int(c) for c in cols), 0)
-    raise ValueError(f"unknown subgroup {subgroup!r}")
+    return sample_ensemble(m, subgroup, 1, rng)[0]
 
 
-def sample_ensemble(m: int, subgroup: str, count: int, rng: np.random.Generator,
+def sample_ensemble(m: int, subgroup: str, count: int,
+                    rng: np.random.Generator | Iterable[np.random.Generator],
                     dedupe: bool = True,
-                    include_identity: bool = False) -> list[AffineAutomorphism]:
-    """Sample `count` automorphisms by repeated sample() draws; with dedupe,
-    the pairs (A, b), and so the compiled index tables, are pairwise
-    distinct (a collision is dropped and drawn again).  "ga" draws come in
-    batches (_ga_batch), with the same result and final generator state."""
+                    include_identity: bool = False) -> AutomorphismBatch:
+    """Sample `count` automorphisms as a batch, the identity first if
+    include_identity; the result and the final generator state are those
+    of `count` one-by-one sample() calls.  With dedupe the pairs (A, b),
+    and so the compiled index tables, are pairwise distinct: a draw whose
+    row (m row bitmasks, then b) equals an earlier one is dropped, and the
+    draws go on.  No AffineAutomorphism is built.
+
+    `rng` is a Generator, or a sequence of them (the frames of a chunk):
+    then the batch holds the ensemble of each generator in turn, each drawn
+    as if alone, and the "ga" draws of up to _GA_GENERATORS of them are
+    rank-tested in one call (_ga_batch)."""
     check_ensemble(m, subgroup, count, dedupe)
-    out: list[AffineAutomorphism] = []
-    seen: set[tuple] = set()
-    if include_identity:
-        out.append(identity_automorphism(m))
-        seen.add((out[0].rows, out[0].b))
-    while len(out) < count:
-        for aut in (_ga_batch(m, rng, count - len(out)) if subgroup == "ga"
-                    else [sample(m, subgroup, rng)]):
-            key = (aut.rows, aut.b)
-            if not dedupe or key not in seen:
-                seen.add(key)
-                out.append(aut)
-    return out
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    first = int(include_identity)
+    out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
+    out[:, :first] = [*mat_identity(m), 0]
+    seen = None  # with dedupe, the row bytes each generator has kept
+    if dedupe:
+        seen = [{row.tobytes() for row in out[f, :first]} for f in range(len(rngs))]
+    if subgroup == "ga" and count > first:
+        for lo in range(0, len(rngs), _GA_GENERATORS):
+            hi = lo + _GA_GENERATORS
+            out[lo:hi, first:] = _ga_batch(m, rngs[lo:hi], count - first,
+                                           None if seen is None else seen[lo:hi])
+    elif subgroup != "ga":
+        for f, g in enumerate(rngs):
+            kept = first
+            while kept < count:
+                out[f, kept] = _scalar_draw(m, subgroup, g)
+                if seen is not None:
+                    key = out[f, kept].tobytes()
+                    if key in seen[f]:
+                        continue
+                    seen[f].add(key)
+                kept += 1
+    return AutomorphismBatch(out[..., :m].reshape(-1, m), out[..., m].reshape(-1))
+
+
+def _scalar_draw(m: int, subgroup: str, rng: np.random.Generator) -> list[int]:
+    """One "lta", "uta" or "pi" draw, value by value: m row bitmasks, then b."""
+    if subgroup == "lta":
+        rows = [(1 << j) | int(rng.integers(0, 1 << j)) for j in range(m)]
+        return rows + [int(rng.integers(0, 1 << m))]
+    if subgroup == "uta":
+        rows = [(1 << j) | (int(rng.integers(0, 1 << (m - 1 - j))) << (j + 1))
+                for j in range(m)]
+        return rows + [int(rng.integers(0, 1 << m))]
+    if subgroup == "pi":
+        return [1 << int(c) for c in rng.permutation(m)] + [0]
+    raise ValueError(f"unknown subgroup {subgroup!r}")
 
 
 def check_ensemble(m: int, subgroup: str, count: int, dedupe: bool = True) -> None:
@@ -264,41 +355,56 @@ def check_ensemble(m: int, subgroup: str, count: int, dedupe: bool = True) -> No
                          f"{subgroup}({m}) of order {group_order(subgroup, m)}")
 
 
-def _ga_batch(m: int, rng: np.random.Generator,
-              count: int) -> list[AffineAutomorphism]:
-    """`count` uniform "ga" automorphisms by rejection, as array code;
-    `rng` is left just past the values they used.
+def _ga_batch(m: int, rngs: list[np.random.Generator], count: int,
+              seen: list[set[bytes]] | None) -> np.ndarray:
+    """`count` uniform "ga" automorphisms from each generator of `rngs` by
+    rejection, as a (len(rngs), count, m + 1) int64 array of the drawn
+    values (m row bitmasks, then b); each generator is left just past the
+    values its automorphisms used.  With `seen`, one set per generator, an
+    automorphism whose row bytes are in its set is dropped and the walk
+    goes on; kept ones are added.
 
     Each draw takes m row values, redrawn while they are singular, and then
     b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
     word of the generator, so one bulk draw gives the same values as
-    drawing them one matrix at a time.  Every m-value window of the draw is
-    rank-tested at once; the walk then skips m values for a singular window
-    and takes m + 1 (rows, then b) for an invertible one.  The draw, sized
-    for about 1.5 `count` automorphisms, is extended by as much whenever it
-    runs out; then `rng` is rewound and redraws only the values used."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    drawing them one matrix at a time.  Every m-value window of every
+    generator's draw is rank-tested in one call; the walk then skips m
+    values for a singular window and takes m + 1 (rows, then b) for an
+    invertible one.  A draw, sized for about 1.5 `count` automorphisms, is
+    extended by as much whenever it runs out; then the generator is rewound
+    and redraws only the values used, and the taken windows come out of the
+    draw in one gather."""
     p = group_order("ga", m) / (1 << (m * m + m))  # a uniform matrix is invertible
     chunk = int(1.5 * count * (m / p + 1)) + 2 * m + 2
-    state = rng.bit_generator.state
-    drawn = np.zeros(0, dtype=np.int64)
-    ok: list[bool] = []  # ok[s]: drawn[s:s+m] is invertible
-    out: list[AffineAutomorphism] = []
-    pos = 0
-    while len(out) < count:
-        if pos + m >= drawn.size:  # the window at pos or its b not drawn yet
-            more = rng.integers(0, 1 << m, size=chunk, dtype=np.int64)
-            drawn = np.concatenate([drawn, more])
-            ok += full_rank_windows(drawn[len(ok):], m).tolist()
-        elif not ok[pos]:
-            pos += m
-        else:
-            *rows, b = drawn[pos:pos + m + 1].tolist()
-            pos += m + 1
-            out.append(AffineAutomorphism(m, tuple(rows), b))
-    rng.bit_generator.state = state
-    rng.integers(0, 1 << m, size=pos, dtype=np.int64)
+    states = [g.bit_generator.state for g in rngs]
+    drawn = np.stack([g.integers(0, 1 << m, size=chunk, dtype=np.int64) for g in rngs])
+    tested = full_rank_windows(drawn, m)
+    out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
+    for f, g in enumerate(rngs):
+        vals, ok = drawn[f], tested[f].tobytes()  # ok[s]: vals[s:s+m] is invertible
+        raw = vals.tobytes()  # the row of the window at s is raw[8 s:8 (s + m + 1)]
+        starts: list[int] = []
+        pos = 0
+        while len(starts) < count:
+            if pos + m >= vals.size:  # the window at pos or its b not drawn yet
+                more = g.integers(0, 1 << m, size=chunk, dtype=np.int64)
+                vals = np.concatenate([vals, more])
+                ok += full_rank_windows(vals[len(ok):], m).tobytes()
+                raw += more.tobytes()
+            elif not ok[pos]:
+                pos += m
+            else:
+                if seen is not None:
+                    key = raw[8 * pos:8 * (pos + m + 1)]
+                    if key in seen[f]:
+                        pos += m + 1
+                        continue
+                    seen[f].add(key)
+                starts.append(pos)
+                pos += m + 1
+        g.bit_generator.state = states[f]
+        g.integers(0, 1 << m, size=pos, dtype=np.int64)
+        out[f] = vals[np.array(starts)[:, None] + np.arange(m + 1)]
     return out
 
 

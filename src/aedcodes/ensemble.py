@@ -9,9 +9,10 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .automorphisms import (AffineAutomorphism, check_ensemble, compile_tables,
-                            compose, format_automorphism, inverse,
-                            mlup_decompose, sample, sample_ensemble)
+from .automorphisms import (SUBGROUPS, AffineAutomorphism, AutomorphismBatch,
+                            check_ensemble, compile_tables, compose,
+                            format_automorphism, inverse, mlup_decompose, sample,
+                            sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
 from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
                        scl_decode_batch)
@@ -55,8 +56,18 @@ class EnsembleConfig:
              "dedupe": ("dedupe", bool), "include_identity": ("include_identity", bool)}
 
     def __post_init__(self):
+        """Refuse what no run can use: a size that is not an integer >= 1
+        (bool included; TypeError for the type, as check_seed), a subgroup
+        outside SUBGROUPS or a constituent that is not Sc, Scl or Bp."""
+        if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)):
+            raise TypeError(f"ensemble size must be an integer >= 1, got {self.size!r}")
         if self.size < 1:
-            raise ValueError("ensemble size must be >= 1")
+            raise ValueError(f"ensemble size must be >= 1, got {self.size}")
+        if self.subgroup not in SUBGROUPS:
+            raise ValueError(f"unknown subgroup {self.subgroup!r}, "
+                             f"expected one of {', '.join(SUBGROUPS)}")
+        if not isinstance(self.constituent, (Sc, Scl, Bp)):
+            raise TypeError(f"constituent must be Sc, Scl or Bp, got {self.constituent!r}")
         check_seed(self.seed)
 
     @property
@@ -82,7 +93,10 @@ class EnsembleConfig:
         2**m (check_ensemble), before a run or its manifest starts."""
         check_ensemble(m, self.subgroup, self.size, self.dedupe)
 
-    def sample_automorphisms(self, m: int, rng=None) -> list[AffineAutomorphism]:
+    def sample_automorphisms(self, m: int, rng=None) -> AutomorphismBatch:
+        """The ensemble's automorphisms for length 2**m as a batch: the fixed
+        set drawn from `seed` when rng is None, else those drawn from `rng`
+        (a Generator, or one per frame; see sample_ensemble)."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
         return sample_ensemble(m, self.subgroup, self.size, rng,
@@ -114,7 +128,7 @@ class CandidateSet:
 
 
 def aed_decode(spec: CodeSpec, y, llr, cfg: EnsembleConfig,
-               perms: list[AffineAutomorphism]
+               perms: AutomorphismBatch | list[AffineAutomorphism]
                ) -> tuple[np.ndarray, int, CandidateSet]:
     """Decode one frame with an automorphism ensemble.
 

@@ -249,6 +249,13 @@ def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
         lo = end
 
 
+def _generator(state: dict) -> np.random.Generator:
+    """A Generator whose PCG64 is in `state` (a bit_generator.state)."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return rng
+
+
 def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
                 all_zero: bool, tables: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -256,8 +263,9 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     flags, bit-error counts, summed branch iterations and branch-run counts.
 
     A fixed ensemble comes with its compiled `tables`, which run_mc draws
-    once per run; a resampled one is drawn here, frame by frame.  Results
-    for a frame depend only on (spec, decoder, ch, frame index)."""
+    once per run; a resampled one is drawn here, each frame from its own
+    stream, as arrays in one sampler call, and compiled in one call.
+    Results for a frame depend only on (spec, decoder, ch, frame index)."""
     fsz = hi - lo
     n, k = spec.n, spec.k
     sigma = ch.sigma
@@ -295,12 +303,13 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
         iters_sum = iters.astype(np.float64)
     else:  # EnsembleConfig
         if decoder.resample_per_frame:
-            # one compile for the automorphisms of every frame of the chunk
-            auts = []
-            for (state,) in _stream_states(decoder.seed, lo, hi):
-                rng.bit_generator.state = state
-                auts += decoder.sample_automorphisms(spec.m, rng)
-            tables = compile_tables(auts).reshape(fsz, decoder.size, n)
+            # one sampler call on a generator per frame, and one compile,
+            # for the automorphisms of every frame of the chunk; the
+            # generators (about 4 KB each) are gone before the decode
+            rngs = (_generator(state)
+                    for (state,) in _stream_states(decoder.seed, lo, hi))
+            tables = compile_tables(decoder.sample_automorphisms(spec.m, rngs))
+            tables = tables.reshape(fsz, decoder.size, n)
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,
                                                 bp_dtype=_BP_MC_DTYPE)

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import aedcodes.automorphisms as automorphisms
-from aedcodes import (AffineAutomorphism, compile_tables, compose,
-                      enumerate_codebook, format_automorphism, group_order,
-                      identity_automorphism, in_code, inverse, mlup_decompose,
-                      parse_automorphism, rm_code, sample, sample_ensemble)
+from aedcodes import (AffineAutomorphism, AutomorphismBatch, compile_tables,
+                      compose, enumerate_codebook, format_automorphism,
+                      group_order, identity_automorphism, in_code, inverse,
+                      mlup_decompose, parse_automorphism, rm_code, sample,
+                      sample_ensemble)
 from aedcodes.automorphisms import (full_rank_windows, is_invertible,
                                     mat_identity, mat_inv, mat_mul)
 
@@ -303,6 +304,56 @@ def test_sample_ensemble_equals_scalar_loop(m, subgroup):
                 assert new.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_sample_ensemble_over_generators_equals_scalar_loop(m, subgroup):
+    """A sequence of generators (a chunk's frames) gives each generator's
+    own ensemble in turn, as the one-by-one loop draws it from that
+    generator alone, and leaves every generator in the loop's state."""
+    for count in (1, 2, 7):
+        for dedupe in (True, False):
+            if dedupe and count > group_order(subgroup, m):
+                continue
+            for ident in (False, True):
+                new = [np.random.default_rng([m, count, s]) for s in range(5)]
+                ref = [np.random.default_rng([m, count, s]) for s in range(5)]
+                got = sample_ensemble(m, subgroup, count, new, dedupe, ident)
+                want = [sample_ensemble_scalar(m, subgroup, count, g, dedupe, ident)
+                        for g in ref]
+                assert got.rows.shape == (5 * count, m) and got.b.shape == (5 * count,)
+                assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for w in want
+                                                        for a in w]
+                assert ([g.bit_generator.state for g in new]
+                        == [g.bit_generator.state for g in ref])
+
+
+def test_sample_ensemble_over_more_generators_than_one_rank_test():
+    """More generators than one rank test takes (_GA_GENERATORS) give the
+    draws and final states of one generator at a time."""
+    frames = automorphisms._GA_GENERATORS + 6
+    new = [np.random.default_rng([7, s]) for s in range(frames)]
+    ref = [np.random.default_rng([7, s]) for s in range(frames)]
+    got = sample_ensemble(4, "ga", 3, new)
+    assert got == [a for g in ref for a in sample_ensemble(4, "ga", 3, g)]
+    assert [g.bit_generator.state for g in new] == [g.bit_generator.state for g in ref]
+
+
+def test_batch_indexes_iterates_and_compares_as_automorphisms():
+    """A batch is a sequence of AffineAutomorphism built on demand; it
+    equals a batch or list of the same automorphisms in the same order."""
+    rng = np.random.default_rng(12)
+    auts = [sample(5, "ga", rng) for _ in range(4)]
+    batch = AutomorphismBatch.of(auts)
+    assert AutomorphismBatch.of(batch) is batch
+    assert len(batch) == 4 and batch.m == 5
+    assert batch[2] == auts[2] and batch[-1] == auts[-1] and list(batch) == auts
+    assert batch == auts and auts == batch and batch == AutomorphismBatch.of(auts)
+    assert batch != auts[::-1] and batch != AutomorphismBatch.of(auts[:3])
+    assert np.array_equal(compile_tables(batch), compile_tables(auts))
+    with pytest.raises(ValueError, match="singular"):
+        AutomorphismBatch(np.zeros((1, 3), dtype=np.int64), np.zeros(1, dtype=np.int64))[0]
+
+
 def test_sample_ensemble_whole_small_groups():
     for m, subgroup in ((1, "ga"), (3, "pi"), (2, "ga")):
         order = group_order(subgroup, m)
@@ -334,9 +385,10 @@ class CountingGenerator(np.random.Generator):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_ga_batch_across_draw_extensions(m):
-    """Batches of 1, 2 and 12, each followed by a single sample(m, "ga"),
-    on one generator: whenever a batch runs past its first bulk draw, the
-    walk extends it and rank-test windows straddle the join.  Each call
+    """Batches of 1, 2 and 12 (rows, then b, per row of the array), each
+    followed by a single sample(m, "ga"), on one generator: whenever a
+    batch runs past its first bulk draw, the walk extends it and rank-test
+    windows straddle the join.  Each call
     makes one bulk draw and one final redraw unless it extends; some trials
     must extend, and every call must still give the scalar loop's draws and
     final generator state."""
@@ -346,8 +398,11 @@ def test_ga_batch_across_draw_extensions(m):
     for trial in range(300):
         n = (1, 2, 12)[trial % 3]
         before = new.calls
-        got = automorphisms._ga_batch(m, new, n)
-        assert got == [sample_ga_scalar(m, ref) for _ in range(n)]
+        got = automorphisms._ga_batch(m, [new], n, None)
+        assert got.shape == (1, n, m + 1) and got.dtype == np.int64
+        got = got[0]
+        assert got.tolist() == [[*a.rows, a.b] for a in
+                                (sample_ga_scalar(m, ref) for _ in range(n))]
         assert new.bit_generator.state == ref.bit_generator.state
         assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
         assert new.bit_generator.state == ref.bit_generator.state
@@ -377,6 +432,11 @@ def test_rank_tests_agree_with_mat_inv_at_m10():
     expect = [mat_inv(tuple(vals[s:s + 10].tolist()), 10) is not None
               for s in range(vals.size - 9)]
     assert windows.tolist() == expect
+    # leading axes: every row of a 2-D draw is tested as on its own
+    rows = np.stack([vals, vals[::-1], np.roll(vals, 7)])
+    assert np.array_equal(full_rank_windows(rows, 10),
+                          [full_rank_windows(r, 10) for r in rows])
+    assert full_rank_windows(rows[:, :9], 10).shape == (3, 0)
     assert [is_invertible(tuple(vals[s:s + 10].tolist()), 10)
             for s in range(vals.size - 9)] == expect
     assert not expect[100] and not expect[200] and 0 < sum(expect) < len(expect)

@@ -124,6 +124,30 @@ def test_aed_parameter_errors():
         EnsembleConfig(0, "ga", Sc())
 
 
+@pytest.mark.parametrize("change,exc", [
+    ({"size": 2.5}, TypeError),
+    ({"size": 3.0}, TypeError),
+    ({"size": True}, TypeError),
+    ({"size": "3"}, TypeError),
+    ({"size": 0}, ValueError),
+    ({"size": -2}, ValueError),
+    ({"subgroup": "GA"}, ValueError),
+    ({"subgroup": "affine"}, ValueError),
+    ({"constituent": "sc"}, TypeError),
+    ({"constituent": EnsembleConfig(2, "ga", Sc())}, TypeError),
+], ids=["size-float", "size-integral-float", "size-bool", "size-str", "size-zero",
+        "size-negative", "subgroup-case", "subgroup-unknown", "constituent-str",
+        "constituent-ensemble"])
+def test_ensemble_config_refuses_what_no_run_can_use(change, exc):
+    """The size is an integer >= 1 other than a bool (a float size ran
+    with its ceiling and wrote the float to the CSV and the manifest), the
+    subgroup one of SUBGROUPS and the constituent Sc, Scl or Bp; anything
+    else fails when the config is built, not later in a run."""
+    with pytest.raises(exc):
+        EnsembleConfig(**{"size": 3, "subgroup": "ga", "constituent": Sc(), **change})
+    assert EnsembleConfig(np.int64(3), "pi", Bp(5)).size == 3
+
+
 def test_ensemble_with_identity_never_loses_to_plain_sc_much():
     # paired frames: the identity branch keeps the plain output in the
     # candidate list, so the ensemble only loses on genuine ML boundaries

@@ -12,7 +12,7 @@ import pytest
 
 from aedcodes import Bp, ChannelConfig, EnsembleConfig, Sc, Scl, rm_code, run_mc
 
-RM25, RM36 = rm_code(2, 5), rm_code(3, 6)
+RM25, RM36, RM48 = rm_code(2, 5), rm_code(3, 6), rm_code(4, 8)
 BIG_SEED = 2**70 + 1
 
 # name: (code, decoder, Eb/N0, channel seed, run_mc keywords, record)
@@ -35,6 +35,17 @@ CASES = {
                   (123, 37, 228, "1.0")),
     "sc-big-seed": (RM25, Sc(), 2.0, BIG_SEED, dict(frames=2000),
                     (2000, 249, 1614, "1.0")),
+    "aut32-ga-sc-resampled-rm48": (
+        RM48, EnsembleConfig(32, "ga", Sc(), resample_per_frame=True, seed=11),
+        1.0, 9, dict(frames=8), (8, 4, 289, "1.0")),
+    "aut4-lta-sc-resampled-identity": (
+        RM36, EnsembleConfig(4, "lta", Sc(), resample_per_frame=True, seed=12,
+                             include_identity=True),
+        2.5, 9, dict(frames=300), (300, 54, 802, "1.0")),
+    "aut4-pi-sc-resampled-no-dedupe": (
+        RM25, EnsembleConfig(4, "pi", Sc(), resample_per_frame=True, seed=13,
+                             dedupe=False),
+        2.0, 9, dict(frames=300), (300, 20, 128, "1.0")),
 }
 
 

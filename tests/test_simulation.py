@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import aedcodes.simulation as simulation
-from aedcodes import (Bp, CapacityError, ChannelConfig, EnsembleConfig, Sc,
-                      Scl, aed_decode, compile_tables, encode,
-                      enumerate_codebook, ml_decode_oracle, rm_code, run_mc,
-                      saturate, sc_decode_batch, transmit)
+from aedcodes import (AffineAutomorphism, Bp, CapacityError, ChannelConfig,
+                      EnsembleConfig, Sc, Scl, aed_decode, compile_tables,
+                      encode, enumerate_codebook, ml_decode_oracle, rm_code,
+                      run_mc, saturate, sc_decode_batch, transmit)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
                                  _stream_states, format_csv_row)
+from test_automorphisms import compile_brute, sample_ensemble_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +265,9 @@ STREAM_CASES = [
 ]
 
 
-@pytest.mark.parametrize("ch_seed,ens_seed,lo,hi,all_zero", STREAM_CASES)
-def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_seed,
-                                                   lo, hi, all_zero):
-    """Messages, noise and resampled automorphisms of every frame equal the
-    draws of default_rng on the frame's SeedSequence streams, looped frame
-    by frame."""
-    spec = rm_code(2, 4)
-    ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
-    cfg = EnsembleConfig(3, "ga", Sc(), resample_per_frame=True, seed=ens_seed)
+def _spy_chunk(monkeypatch, spec, decoder, ch, lo, hi, all_zero=False) -> dict:
+    """Run _eval_chunk and return the first messages it encodes ("msgs") and
+    the LLRs and tables it passes to decode_branches."""
     seen = {}
     encode, decode_branches = simulation.encode, simulation.decode_branches
 
@@ -286,9 +281,33 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
 
     monkeypatch.setattr(simulation, "encode", spy_encode)
     monkeypatch.setattr(simulation, "decode_branches", spy_decode)
-    _eval_chunk(spec, cfg, ch, lo, hi, all_zero)
+    _eval_chunk(spec, decoder, ch, lo, hi, all_zero)
+    return seen
 
-    msgs, llrs, auts = [], [], []
+
+def _oracle_tables(spec, cfg: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, M, N) tables of a resampled ensemble from the one-by-one
+    reference sampler on each frame's root stream, compiled bit by bit."""
+    return np.array([
+        [compile_brute(a) for a in sample_ensemble_scalar(
+            spec.m, cfg.subgroup, cfg.size,
+            np.random.default_rng(_frame_stream(cfg.seed, f)),
+            cfg.dedupe, cfg.include_identity)]
+        for f in range(lo, hi)])
+
+
+@pytest.mark.parametrize("ch_seed,ens_seed,lo,hi,all_zero", STREAM_CASES)
+def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_seed,
+                                                   lo, hi, all_zero):
+    """Messages, noise and resampled automorphisms of every frame equal the
+    draws of default_rng on the frame's SeedSequence streams, looped frame
+    by frame; the automorphisms are those of the reference sampler."""
+    spec = rm_code(2, 4)
+    ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
+    cfg = EnsembleConfig(3, "ga", Sc(), resample_per_frame=True, seed=ens_seed)
+    seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
+
+    msgs, llrs = [], []
     for f in range(lo, hi):
         msg = _seedsequence_message(spec, ch_seed, f, all_zero)
         noise_ss = _frame_stream(ch_seed, f).spawn(2)[1]
@@ -296,12 +315,54 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
             0.0, ch.sigma, spec.n)
         msgs.append(msg)
         llrs.append(saturate(2.0 * y / ch.sigma ** 2))
-        auts += cfg.sample_automorphisms(
-            spec.m, np.random.default_rng(_frame_stream(ens_seed, f)))
     assert np.array_equal(seen["msgs"], np.array(msgs))
     assert np.array_equal(seen["llrs"], np.array(llrs))
-    assert np.array_equal(seen["tables"],
-                          compile_tables(auts).reshape(hi - lo, cfg.size, spec.n))
+    assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
+
+
+@pytest.mark.parametrize("r,m,size,subgroup,lo,hi,flags", [
+    (4, 8, 32, "ga", 5, 8, {}),                           # the benchmark's shape
+    (2, 5, 4, "lta", 0, 6, {}),
+    (2, 5, 4, "uta", 0, 6, {}),
+    (2, 5, 4, "pi", 0, 6, {}),
+    (2, 5, 4, "ga", 0, 6, {"include_identity": True}),
+    (2, 5, 4, "pi", 0, 6, {"include_identity": True}),
+    (2, 5, 5, "ga", 0, 6, {"dedupe": False}),
+    (2, 3, 6, "pi", 0, 6, {"dedupe": False}),
+    (1, 1, 2, "ga", 0, 20, {}),  # all of ga(1): dropped duplicates, extended draws
+], ids=["rm48-aut32-ga", "lta", "uta", "pi", "ga-identity", "pi-identity",
+        "ga-no-dedupe", "pi-no-dedupe", "ga-m1-whole-group"])
+def test_eval_chunk_ensembles_equal_scalar_oracle(monkeypatch, r, m, size, subgroup,
+                                                  lo, hi, flags):
+    """The tables one chunk compiles for a resampled ensemble are those of
+    the reference sampler run frame by frame, for every subgroup and flag."""
+    spec = rm_code(r, m)
+    cfg = EnsembleConfig(size, subgroup, Sc(), resample_per_frame=True, seed=23,
+                         **flags)
+    seen = _spy_chunk(monkeypatch, spec, cfg, ChannelConfig(1.0, spec.rate, seed=3),
+                      lo, hi)
+    assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
+
+
+@pytest.mark.parametrize("decoder", [
+    EnsembleConfig(4, "ga", Sc(), resample_per_frame=True, seed=1),
+    EnsembleConfig(3, "lta", Sc(), resample_per_frame=True, seed=2,
+                   include_identity=True, dedupe=False),
+    EnsembleConfig(4, "ga", Scl(2), seed=3, include_identity=True),
+    EnsembleConfig(3, "pi", Bp(5), seed=4),
+], ids=["ga-resampled", "lta-resampled-identity", "ga-fixed-identity", "pi-fixed"])
+def test_run_mc_builds_no_automorphism_objects(monkeypatch, decoder):
+    """Ensembles stay arrays from the draw through the compile: a run_mc
+    over two chunks completes with AffineAutomorphism construction made to
+    fail."""
+    def refuse(self):
+        raise AssertionError("AffineAutomorphism built on the Monte-Carlo path")
+
+    monkeypatch.setattr(AffineAutomorphism, "__post_init__", refuse)
+    spec = rm_code(2, 5)
+    rec = run_mc(spec, decoder, ChannelConfig(2.0, spec.rate, seed=1),
+                 frames=300, target_errors=None)
+    assert rec.frames == 300
 
 
 @pytest.mark.parametrize("r,m,lo,hi,all_zero", [
