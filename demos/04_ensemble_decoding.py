@@ -8,10 +8,10 @@ they add nothing; the full group (or its upper-triangular part) does.
 
 import numpy as np
 
-from aedcodes import (ChannelConfig, EnsembleConfig, Sc, aed_decode, compose,
-                      conjugated_sc_branch, encode, mlup_decompose, rm_code,
-                      sample, sc_decode_batch, transmit,
-                      verify_lta_commutation)
+from aedcodes import (ChannelConfig, EnsembleConfig, Sc, compile_tables, compose,
+                      conjugated_sc_branch, decode_branches, encode,
+                      mlup_decompose, rm_code, sample, sc_decode_batch,
+                      select_winners, transmit, verify_lta_commutation)
 
 spec = rm_code(3, 7)
 ch = ChannelConfig(3.0, spec.rate, seed=9)
@@ -22,19 +22,22 @@ x = encode(spec, u)
 y, llr = transmit(spec, u, ch, rng)
 
 cfg = EnsembleConfig(size=8, subgroup="ga", constituent=Sc(), seed=1)
-perms = cfg.sample_automorphisms(spec.m)
-x_hat, winner, cands = aed_decode(spec, y, llr, cfg, perms)
+tables = compile_tables(cfg.sample_automorphisms(spec.m))
+# a batch of one frame: candidates (1, 8, N), one per branch
+cands, branch, _, valid = decode_branches(spec, llr[None], tables, cfg.constituent)
+(winner,), (scores,) = select_winners(cands, valid, y[None])
 _, (x_sc,) = sc_decode_batch(spec, llr[None])
 print(f"plain SC correct: {np.array_equal(x_sc, x)}")
-print(f"aut-8-SC correct: {np.array_equal(x_hat, x)} (winner branch {winner})")
-print("candidate correlations:", cands.scores.round(1))
+print(f"aut-8-SC correct: {np.array_equal(cands[0, winner], x)} "
+      f"(winner branch {branch[0, winner]})")
+print("candidate correlations:", scores.round(1))
 
 # lower-triangular branches all collapse onto the plain SC output
 lta_cfg = EnsembleConfig(size=4, subgroup="lta", constituent=Sc(), seed=2)
-_, _, lta_cands = aed_decode(spec, y, llr, lta_cfg,
-                             lta_cfg.sample_automorphisms(spec.m))
-collapsed = all(np.array_equal(lta_cands.x[j], x_sc)
-                for j in range(len(lta_cands)))
+lta_cands = decode_branches(spec, llr[None],
+                            compile_tables(lta_cfg.sample_automorphisms(spec.m)),
+                            lta_cfg.constituent)[0][0]
+collapsed = all(np.array_equal(c, x_sc) for c in lta_cands)
 print("all lta candidates equal plain SC:", collapsed)
 
 # the commutation behind that collapse, checked executably

@@ -13,8 +13,8 @@ from .codes import (CapacityError, CodeSpec, Monomial, MonomialSet, encode,
                     split_subcodes, write_frozen_file)
 from .decoders import (L_MAX, Bp, Sc, Scl, bp_decode_batch, boxplus, saturate,
                        sc_decode_batch, scl_decode_batch)
-from .ensemble import (CandidateSet, EnsembleConfig, VerificationReport,
-                       aed_decode, conjugated_sc_branch, decode_branches,
+from .ensemble import (EnsembleConfig, VerificationReport,
+                       conjugated_sc_branch, decode_branches,
                        decoder_from_dict, select_winners,
                        verify_lta_absorption, verify_lta_commutation)
 from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, format_csv_row,

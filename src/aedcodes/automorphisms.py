@@ -79,28 +79,14 @@ def mat_inv(a, m: int) -> tuple[int, ...] | None:
     return tuple(right)
 
 
-def is_invertible(a, m: int) -> bool:
-    """Full GF(2) rank test on m rows: reduce each row against an XOR basis
-    whose members have distinct pivot bits (their lowest set bit when
-    added); a row that reduces to zero is dependent."""
-    basis: list[tuple[int, int]] = []
-    for r in a:
-        for pivot, v in basis:
-            if r & pivot:
-                r ^= v
-        if not r:
-            return False
-        basis.append((r & -r, r))
-    return len(basis) == m
-
-
 def full_rank_windows(vals: np.ndarray, m: int) -> np.ndarray:
     """Invertibility flag of every m-row window vals[..., s:s+m] (row
-    bitmasks along the last axis), s = 0 .. vals.shape[-1] - m: the
-    reduction of is_invertible run over all windows, of every leading index,
-    at once, one row step at a time.  Row i of every window is held in one
-    contiguous array of the narrowest unsigned type.  A zero row has no
-    pivot and reduces nothing, so a window is invertible exactly when no
+    bitmasks along the last axis), s = 0 .. vals.shape[-1] - m, by GF(2)
+    elimination run over all windows, of every leading index, at once, one
+    row step at a time: row i, once reduced, is XORed into every later row
+    that has its pivot (its lowest set bit).  Row i of every window is held
+    in one contiguous array of the narrowest unsigned type.  A zero row has
+    no pivot and reduces nothing, so a window is invertible exactly when no
     row of it ends up zero."""
     nwin = vals.shape[-1] - m + 1
     if nwin < 1:
@@ -133,7 +119,7 @@ class AffineAutomorphism:
         mask = (1 << self.m) - 1
         if any(r & ~mask for r in self.rows) or self.b & ~mask:
             raise ValueError("row or offset bits outside m-bit range")
-        if not is_invertible(self.rows, self.m):
+        if mat_inv(self.rows, self.m) is None:
             raise ValueError("matrix is singular over GF(2)")
 
     @property

@@ -170,8 +170,6 @@ def _build_decoder(args):
         if args.resample_per_frame:
             raise UsageError("--resample-per-frame needs --ensemble M")
         return constituent
-    if args.ensemble < 1:
-        raise UsageError("--ensemble must be >= 1")
     return EnsembleConfig(size=args.ensemble,
                           subgroup=args.subgroup or "ga",
                           constituent=constituent,

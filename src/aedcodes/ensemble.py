@@ -104,61 +104,6 @@ class EnsembleConfig:
                                include_identity=self.include_identity)
 
 
-@dataclass
-class CandidateSet:
-    """Per-candidate results of one ensemble decode.
-
-    x holds the codeword estimates, de-interleaved by scattering through
-    their branch's index table (decode_branches), scores the correlations
-    sum_i (-1)^x_i * y_i (-inf for unused list slots), branch the
-    originating decoder index (candidates of an SCL constituent share a
-    branch).  Candidates are ordered by branch, then by SCL list slot, and
-    the winner is the lowest-index candidate of maximal score.  iterations
-    carries the per-candidate BP iteration counts (1 for SC/SCL).
-    """
-
-    x: np.ndarray
-    scores: np.ndarray
-    branch: np.ndarray
-    permutations: list[AffineAutomorphism]
-    iterations: np.ndarray | None = None
-
-    def __len__(self):
-        return self.x.shape[0]
-
-
-def aed_decode(spec: CodeSpec, y, llr, cfg: EnsembleConfig,
-               perms: AutomorphismBatch | list[AffineAutomorphism]
-               ) -> tuple[np.ndarray, int, CandidateSet]:
-    """Decode one frame with an automorphism ensemble.
-
-    Branch j decodes the input interleaved by pi_j's compiled table t_j,
-    llr[t_j], and de-interleaves its codeword estimate by scattering
-    through t_j (decode_branches).  The winner maximises the
-    correlation to the received vector y (select_winners); ties go to the
-    lowest candidate index, that is the lowest branch and then the lowest
-    SCL list slot.  Returns the winner estimate, its candidate index and the
-    full candidate set.
-    """
-    if len(perms) == 0:
-        raise ValueError("ensemble needs at least one automorphism")
-    if len(perms) != cfg.size:
-        raise ValueError(f"got {len(perms)} automorphisms for ensemble size {cfg.size}")
-    y = np.asarray(y, dtype=np.float64)
-    llr = np.asarray(llr, dtype=np.float64)
-    if y.shape != (spec.n,) or llr.shape != (spec.n,):
-        raise ValueError(f"y and llr must have length {spec.n}")
-
-    x_de, branch, iters, valid = decode_branches(spec, llr[None, :],
-                                                 compile_tables(perms),
-                                                 cfg.constituent)
-    win, scores = select_winners(x_de, valid, y[None, :])
-    winner = int(win[0])
-    return x_de[0, winner], winner, CandidateSet(
-        x=x_de[0], scores=scores[0], branch=branch[0],
-        permutations=list(perms), iterations=iters[0])
-
-
 def select_winners(x: np.ndarray, valid: np.ndarray, y: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Best-correlation candidate of every frame.
@@ -183,9 +128,11 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
     gathering, llr[t_j], and de-interleaves its estimates by scattering
     through the same table, out[t_j[i]] = x[i]; no inverse table is built.
     Returns de-interleaved candidates (F, C, N), branch indices (F, C),
-    per-candidate iteration counts (F, C) and a validity mask (F, C) that
-    disqualifies unused list slots (short SCL lists).  C = M, or
-    M * list_size for SCL constituents.
+    per-candidate iteration counts (F, C; 1 for SC/SCL) and a validity mask
+    (F, C) that disqualifies unused list slots (short SCL lists).  C = M,
+    or M * L for an SCL-L constituent: candidates are ordered by branch,
+    then by SCL list slot, so candidate c came from branch c // L (L = 1
+    for SC and BP).  select_winners picks each frame's winner.
     """
     fsz, n = llrs.shape
     tables = np.broadcast_to(tables, (fsz,) + tables.shape[-2:])

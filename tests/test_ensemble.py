@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
-                      aed_decode, bp_decode_batch, compile_tables, compose,
+                      bp_decode_batch, compile_tables, compose,
                       conjugated_sc_branch, encode, identity_automorphism,
                       in_code, inverse, mlup_decompose, polar_transform,
                       rm_code, sample, sc_decode_batch,
                       scl_decode_batch, verify_lta_absorption,
                       verify_lta_commutation)
-from aedcodes.ensemble import decode_branches, decoder_from_dict
+from aedcodes.ensemble import decode_branches, decoder_from_dict, select_winners
 
 
 def make_frame(spec, rng, sigma=0.7):
@@ -21,43 +21,50 @@ def make_frame(spec, rng, sigma=0.7):
 
 
 # ---------------------------------------------------------------------------
-# aed_decode
+# ensemble decoding: decode_branches, then select_winners
+
+def make_frames(spec, rng, frames, sigma=0.7):
+    """`frames` make_frame draws, in order, stacked into (F, N) arrays."""
+    return tuple(np.stack(a) for a in
+                 zip(*(make_frame(spec, rng, sigma) for _ in range(frames))))
+
 
 def test_single_identity_branch_is_plain_sc():
     spec = rm_code(2, 4)
     rng = np.random.default_rng(0)
     cfg = EnsembleConfig(1, "ga", Sc())
-    for _ in range(20):
-        _, y, llr = make_frame(spec, rng)
-        xw, wi, cands = aed_decode(spec, y, llr, cfg, [identity_automorphism(4)])
-        assert wi == 0 and len(cands) == 1
-        assert np.array_equal(xw, sc_decode_batch(spec, llr[None])[1][0])
+    _, y, llr = make_frames(spec, rng, 20)
+    x_de, _, _, valid = decode_branches(
+        spec, llr, compile_tables([identity_automorphism(4)]), cfg.constituent)
+    win, _ = select_winners(x_de, valid, y)
+    assert np.all(win == 0) and x_de.shape[1] == 1
+    assert np.array_equal(x_de[:, 0], sc_decode_batch(spec, llr)[1])
 
 
 def test_lta_branches_all_collapse_to_sc():
     spec = rm_code(2, 5)
     rng = np.random.default_rng(1)
     cfg = EnsembleConfig(6, "lta", Sc(), seed=3)
-    perms = cfg.sample_automorphisms(spec.m)
-    for _ in range(20):
-        _, y, llr = make_frame(spec, rng)
-        xw, _, cands = aed_decode(spec, y, llr, cfg, perms)
-        plain = sc_decode_batch(spec, llr[None])[1][0]
-        assert np.array_equal(xw, plain)
-        assert all(np.array_equal(cands.x[j], plain) for j in range(len(cands)))
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
+    _, y, llr = make_frames(spec, rng, 20)
+    x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
+    win, _ = select_winners(x_de, valid, y)
+    plain = sc_decode_batch(spec, llr)[1]
+    assert np.array_equal(x_de[np.arange(20), win], plain)
+    assert np.array_equal(x_de, np.broadcast_to(plain[:, None], x_de.shape))
 
 
 def test_winner_attains_max_correlation():
     spec = rm_code(2, 5)
     rng = np.random.default_rng(2)
     cfg = EnsembleConfig(8, "ga", Sc(), seed=4)
-    perms = cfg.sample_automorphisms(spec.m)
-    for _ in range(20):
-        _, y, llr = make_frame(spec, rng, sigma=1.0)
-        xw, wi, cands = aed_decode(spec, y, llr, cfg, perms)
-        rescore = (1.0 - 2.0 * cands.x.astype(float)) @ y
-        assert cands.scores[wi] == rescore.max()
-        assert np.array_equal(cands.x[wi], xw)
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
+    _, y, llr = make_frames(spec, rng, 20, sigma=1.0)
+    x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
+    win, scores = select_winners(x_de, valid, y)
+    for f, wi in enumerate(win):
+        rescore = (1.0 - 2.0 * x_de[f].astype(float)) @ y[f]
+        assert scores[f, wi] == rescore.max()
 
 
 def test_candidates_are_codewords_all_constituents():
@@ -65,13 +72,12 @@ def test_candidates_are_codewords_all_constituents():
     rng = np.random.default_rng(3)
     for constituent in (Sc(), Scl(4), Bp(30, True)):
         cfg = EnsembleConfig(4, "ga", constituent, seed=5)
-        perms = cfg.sample_automorphisms(spec.m)
-        for _ in range(5):
-            _, y, llr = make_frame(spec, rng, sigma=1.0)
-            _, _, cands = aed_decode(spec, y, llr, cfg, perms)
-            for j in range(len(cands)):
-                if np.isfinite(cands.scores[j]):
-                    assert in_code(spec, cands.x[j])
+        tables = compile_tables(cfg.sample_automorphisms(spec.m))
+        _, y, llr = make_frames(spec, rng, 5, sigma=1.0)
+        x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
+        _, scores = select_winners(x_de, valid, y)
+        for f, c in zip(*np.nonzero(np.isfinite(scores))):
+            assert in_code(spec, x_de[f, c])
 
 
 def test_tied_scores_go_to_lowest_candidate():
@@ -80,23 +86,23 @@ def test_tied_scores_go_to_lowest_candidate():
     # branch 0 lists distinct codewords that sort below it
     spec = rm_code(2, 5)
     cfg = EnsembleConfig(3, "ga", Scl(4), seed=2)
-    perms = cfg.sample_automorphisms(spec.m)
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
     llr = np.random.default_rng(2).normal(0, 2, spec.n)
-    xw, wi, cands = aed_decode(spec, np.zeros(spec.n), llr, cfg, perms)
-    assert len(set(map(bytes, cands.x[:4]))) > 1
-    assert wi == 0 == int(np.argmax(cands.scores))
-    assert np.array_equal(xw, cands.x[0])
+    x_de, _, _, valid = decode_branches(spec, llr[None], tables, cfg.constituent)
+    win, scores = select_winners(x_de, valid, np.zeros((1, spec.n)))
+    assert len(set(map(bytes, x_de[0, :4]))) > 1
+    assert win[0] == 0 == int(np.argmax(scores[0]))
 
 
 def test_scl_constituent_pools_all_list_candidates():
     spec = rm_code(2, 5)
     rng = np.random.default_rng(4)
     cfg = EnsembleConfig(3, "ga", Scl(4), seed=6)
-    perms = cfg.sample_automorphisms(spec.m)
-    _, y, llr = make_frame(spec, rng)
-    _, _, cands = aed_decode(spec, y, llr, cfg, perms)
-    assert len(cands) == 12
-    assert np.array_equal(cands.branch, np.repeat(np.arange(3), 4))
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
+    _, _, llr = make_frame(spec, rng)
+    x_de, branch, _, _ = decode_branches(spec, llr[None], tables, cfg.constituent)
+    assert x_de.shape[1] == 12
+    assert np.array_equal(branch[0], np.repeat(np.arange(3), 4))
 
 
 def test_branch_outputs_shift_with_codeword_sign_flips():
@@ -110,18 +116,6 @@ def test_branch_outputs_shift_with_codeword_sign_flips():
     x0, _, _, _ = decode_branches(spec, llr, tables, Sc())
     x1, _, _, _ = decode_branches(spec, llr * (1.0 - 2.0 * cw), tables, Sc())
     assert np.array_equal(x1[0], x0[0] ^ cw)
-
-
-def test_aed_parameter_errors():
-    spec = rm_code(1, 3)
-    cfg = EnsembleConfig(2, "ga", Sc())
-    y = np.zeros(8)
-    with pytest.raises(ValueError):
-        aed_decode(spec, y, y, cfg, [])
-    with pytest.raises(ValueError):
-        aed_decode(spec, y, y, cfg, [identity_automorphism(3)])
-    with pytest.raises(ValueError):
-        EnsembleConfig(0, "ga", Sc())
 
 
 @pytest.mark.parametrize("change,exc", [
@@ -154,14 +148,12 @@ def test_ensemble_with_identity_never_loses_to_plain_sc_much():
     spec = rm_code(2, 5)
     rng = np.random.default_rng(6)
     cfg = EnsembleConfig(4, "ga", Sc(), seed=7, include_identity=True)
-    perms = cfg.sample_automorphisms(spec.m)
-    err_plain = err_aed = 0
-    frames = 400
-    for _ in range(frames):
-        x, y, llr = make_frame(spec, rng, sigma=0.85)
-        err_plain += not np.array_equal(sc_decode_batch(spec, llr[None])[1][0], x)
-        xw, _, _ = aed_decode(spec, y, llr, cfg, perms)
-        err_aed += not np.array_equal(xw, x)
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
+    x, y, llr = make_frames(spec, rng, 400, sigma=0.85)
+    err_plain = int(np.any(sc_decode_batch(spec, llr)[1] != x, axis=1).sum())
+    x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
+    win, _ = select_winners(x_de, valid, y)
+    err_aed = int(np.any(x_de[np.arange(400), win] != x, axis=1).sum())
     sigma_bound = 2.0 * np.sqrt(max(err_plain, 1)) + 1
     assert err_aed <= err_plain + sigma_bound
 

@@ -5,9 +5,10 @@ import pytest
 
 import aedcodes.simulation as simulation
 from aedcodes import (AffineAutomorphism, Bp, CapacityError, ChannelConfig,
-                      EnsembleConfig, Sc, Scl, aed_decode, compile_tables,
+                      EnsembleConfig, Sc, Scl, compile_tables, decode_branches,
                       encode, enumerate_codebook, ml_decode_oracle, rm_code,
-                      run_mc, saturate, sc_decode_batch, transmit)
+                      run_mc, saturate, sc_decode_batch, select_winners,
+                      transmit)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
                                  _stream_states, format_csv_row)
 from test_automorphisms import compile_brute, sample_ensemble_scalar
@@ -197,26 +198,30 @@ def test_run_mc_draws_a_fixed_ensemble_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_aed_decode_agrees_with_run_mc_frame_by_frame():
-    # rebuild every frame from its streams: the single-frame decoder and the
-    # Monte-Carlo chunk must make the same block error decisions
+def test_ensemble_decode_agrees_with_run_mc_frame_by_frame():
+    # rebuild every frame from its streams: decode_branches and
+    # select_winners on the rebuilt frames and the Monte-Carlo chunk must
+    # make the same block error decisions
     spec = rm_code(2, 5)
     ch = ChannelConfig(1.5, spec.rate, seed=20)
     cfg = EnsembleConfig(4, "ga", Scl(2), seed=21)
-    perms = cfg.sample_automorphisms(spec.m)
+    tables = compile_tables(cfg.sample_automorphisms(spec.m))
     frames = 200
-    blk, _, _, _ = _eval_chunk(spec, cfg, ch, 0, frames, False,
-                               compile_tables(perms))
+    blk, _, _, _ = _eval_chunk(spec, cfg, ch, 0, frames, False, tables)
     assert 0 < blk.sum() < frames
+    xs, ys = [], []
     for f in range(frames):
         msg_ss, noise_ss = _frame_stream(ch.seed, f).spawn(2)
         x = encode(spec, np.random.default_rng(msg_ss).integers(
             0, 2, spec.k, dtype=np.uint8))
-        y = (1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
-            0.0, ch.sigma, spec.n)
-        xw, _, _ = aed_decode(spec, y, saturate(2.0 * y / ch.sigma ** 2),
-                              cfg, perms)
-        assert np.any(xw != x) == blk[f]
+        xs.append(x)
+        ys.append((1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
+            0.0, ch.sigma, spec.n))
+    x, y = np.stack(xs), np.stack(ys)
+    x_de, _, _, valid = decode_branches(
+        spec, saturate(2.0 * y / ch.sigma ** 2), tables, cfg.constituent)
+    win, _ = select_winners(x_de, valid, y)
+    assert np.array_equal(np.any(x_de[np.arange(frames), win] != x, axis=1), blk)
 
 
 # ---------------------------------------------------------------------------
