@@ -20,4 +20,4 @@ from .ensemble import (EnsembleConfig, VerificationReport,
 from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, format_csv_row,
                          ml_decode_oracle, run_mc, transmit)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

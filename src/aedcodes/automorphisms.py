@@ -273,44 +273,31 @@ def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphis
 
 
 def sample_ensemble(m: int, subgroup: str, count: int,
-                    rng: np.random.Generator | Iterable[np.random.Generator],
-                    dedupe: bool = True,
-                    include_identity: bool = False) -> AutomorphismBatch:
-    """Sample `count` automorphisms as a batch, the identity first if
-    include_identity; the result and the final generator state are those
-    of `count` one-by-one sample() calls.  With dedupe the pairs (A, b),
-    and so the compiled index tables, are pairwise distinct: a draw whose
-    row (m row bitmasks, then b) equals an earlier one is dropped, and the
-    draws go on.  No AffineAutomorphism is built.
+                    rng: np.random.Generator | Iterable[np.random.Generator]
+                    ) -> AutomorphismBatch:
+    """Sample `count` pairwise-distinct automorphisms as a batch: the result
+    and the final generator state are those of one-by-one sample() calls
+    that drop a draw whose row (m row bitmasks, then b) equals an earlier
+    one, until `count` are kept.  Distinct pairs (A, b) compile to distinct
+    index tables.  No AffineAutomorphism is built.
 
     `rng` is a Generator, or a sequence of them (the frames of a chunk):
     then the batch holds the ensemble of each generator in turn, each drawn
     as if alone, and the "ga" draws of up to _GA_GENERATORS of them are
     rank-tested in one call (_ga_batch)."""
-    check_ensemble(m, subgroup, count, dedupe)
+    check_ensemble(m, subgroup, count)
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    first = int(include_identity)
     out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
-    out[:, :first] = [*mat_identity(m), 0]
-    seen = None  # with dedupe, the row bytes each generator has kept
-    if dedupe:
-        seen = [{row.tobytes() for row in out[f, :first]} for f in range(len(rngs))]
-    if subgroup == "ga" and count > first:
+    if subgroup == "ga":
         for lo in range(0, len(rngs), _GA_GENERATORS):
             hi = lo + _GA_GENERATORS
-            out[lo:hi, first:] = _ga_batch(m, rngs[lo:hi], count - first,
-                                           None if seen is None else seen[lo:hi])
-    elif subgroup != "ga":
+            out[lo:hi] = _ga_batch(m, rngs[lo:hi], count)
+    else:
         for f, g in enumerate(rngs):
-            kept = first
-            while kept < count:
-                out[f, kept] = _scalar_draw(m, subgroup, g)
-                if seen is not None:
-                    key = out[f, kept].tobytes()
-                    if key in seen[f]:
-                        continue
-                    seen[f].add(key)
-                kept += 1
+            seen = set()  # row bytes kept; a repeat leaves its slot to the next draw
+            while len(seen) < count:
+                out[f, len(seen)] = _scalar_draw(m, subgroup, g)
+                seen.add(out[f, len(seen)].tobytes())
     return AutomorphismBatch(out[..., :m].reshape(-1, m), out[..., m].reshape(-1))
 
 
@@ -328,27 +315,26 @@ def _scalar_draw(m: int, subgroup: str, rng: np.random.Generator) -> list[int]:
     raise ValueError(f"unknown subgroup {subgroup!r}")
 
 
-def check_ensemble(m: int, subgroup: str, count: int, dedupe: bool = True) -> None:
+def check_ensemble(m: int, subgroup: str, count: int) -> None:
     """Raise ValueError unless sample_ensemble can draw `count` elements of
-    `subgroup` for length 2**m: m >= 1, count >= 1 and, with dedupe, count
-    at most the subgroup's order."""
+    `subgroup` for length 2**m: m >= 1 and 1 <= count <= the subgroup's
+    order."""
     if m < 1:
         raise ValueError(f"cannot draw automorphisms for m={m}: m must be >= 1")
     if count < 1:
         raise ValueError("ensemble size must be >= 1")
-    if dedupe and count > group_order(subgroup, m):
+    if count > group_order(subgroup, m):
         raise ValueError(f"cannot draw {count} distinct elements from "
                          f"{subgroup}({m}) of order {group_order(subgroup, m)}")
 
 
-def _ga_batch(m: int, rngs: list[np.random.Generator], count: int,
-              seen: list[set[bytes]] | None) -> np.ndarray:
+def _ga_batch(m: int, rngs: list[np.random.Generator], count: int) -> np.ndarray:
     """`count` uniform "ga" automorphisms from each generator of `rngs` by
     rejection, as a (len(rngs), count, m + 1) int64 array of the drawn
     values (m row bitmasks, then b); each generator is left just past the
-    values its automorphisms used.  With `seen`, one set per generator, an
-    automorphism whose row bytes are in its set is dropped and the walk
-    goes on; kept ones are added.
+    values its automorphisms used.  An automorphism whose row bytes equal
+    those of one kept from the same generator is dropped, and the walk goes
+    on.
 
     Each draw takes m row values, redrawn while they are singular, and then
     b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
@@ -370,6 +356,7 @@ def _ga_batch(m: int, rngs: list[np.random.Generator], count: int,
         vals, ok = drawn[f], tested[f].tobytes()  # ok[s]: vals[s:s+m] is invertible
         raw = vals.tobytes()  # the row of the window at s is raw[8 s:8 (s + m + 1)]
         starts: list[int] = []
+        seen: set[bytes] = set()
         pos = 0
         while len(starts) < count:
             if pos + m >= vals.size:  # the window at pos or its b not drawn yet
@@ -380,13 +367,10 @@ def _ga_batch(m: int, rngs: list[np.random.Generator], count: int,
             elif not ok[pos]:
                 pos += m
             else:
-                if seen is not None:
-                    key = raw[8 * pos:8 * (pos + m + 1)]
-                    if key in seen[f]:
-                        pos += m + 1
-                        continue
-                    seen[f].add(key)
-                starts.append(pos)
+                key = raw[8 * pos:8 * (pos + m + 1)]
+                if key not in seen:
+                    seen.add(key)
+                    starts.append(pos)
                 pos += m + 1
         g.bit_generator.state = states[f]
         g.integers(0, 1 << m, size=pos, dtype=np.int64)

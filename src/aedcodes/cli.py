@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--all-zero", action="store_true",
                      help="send the all-zero message instead of random data")
     sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     help="worker processes; results are invariant to this")
+                     help="worker processes, at most one per CPU and per "
+                          "256-frame chunk; results are invariant to this")
     sim.add_argument("--manifest-out", default=None, metavar="PATH",
                      help="where to write the run manifest (default <stem>.manifest.json)")
     sim.add_argument("--from-manifest", default=None, metavar="PATH",
@@ -309,6 +310,8 @@ def cmd_simulate(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     spec = _resolve_code(args)
     trials = args.trials
     rng = np.random.default_rng(args.seed)

@@ -77,7 +77,6 @@ class Bp(_PlainConfig):
 
     max_iters: int = 200
     stopping: bool = True
-    reduce_graph: bool = False
     kind = "bp"
     descriptor = (kind, "-", 0, 0)
 
@@ -348,8 +347,8 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
 # belief propagation on the stage graph
 
 def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
-                    stopping: bool, reduce_graph: bool = False,
-                    dtype=np.float64) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                    stopping: bool, dtype=np.float64
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BP-decode a (B, N) batch; returns (u_hat, x_hat, iterations, converged).
 
     Flooding BP over the m-stage factor graph.  One iteration is a full
@@ -372,7 +371,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     bsz, n = llrs.shape
     if bsz > _BP_ROW_SLAB:
         parts = [bp_decode_batch(spec, llrs[lo:lo + _BP_ROW_SLAB], max_iters,
-                                 stopping, reduce_graph, dtype)
+                                 stopping, dtype)
                  for lo in range(0, bsz, _BP_ROW_SLAB)]
         return tuple(np.concatenate(field) for field in zip(*parts))
     m = spec.m
@@ -386,10 +385,6 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     rmsg = np.zeros((m + 1, n, bsz), dtype)
     lmsg[m] = llrs.T
     rmsg[0][frozen, :] = dtype(L_MAX)
-    pinned = _known_columns(spec) if reduce_graph else None
-    if pinned is not None:
-        for s in range(1, m + 1):
-            rmsg[s][pinned[s], :] = dtype(L_MAX)
 
     def view(col, s):
         return col.reshape(n >> (s + 1), 2, 1 << s, col.shape[-1])
@@ -418,8 +413,6 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
             _boxplus_into(rcur[:, 0], t, rnxt[:, 0])
             _boxplus_into(rcur[:, 0], nxt[:, 0], t)
             np.add(t, rcur[:, 1], out=rnxt[:, 1])
-            if pinned is not None:
-                rmsg[s + 1][pinned[s + 1], :] = dtype(L_MAX)
         if not stopping:
             continue
         u_hd, x_hd = hard_decisions()
@@ -447,20 +440,3 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
         u_out[rest] = u_hd[alive]
         x_out[rest] = x_hd[alive]
     return u_out, x_out, iters_out, conv_out
-
-
-def _known_columns(spec: CodeSpec) -> list[np.ndarray]:
-    """Per-column masks of rightward messages pinned by all-frozen wedges.
-
-    Column 0 is the frozen indicator itself; a stage output is pinned when
-    every leaf feeding it is frozen (upper port needs both inputs pinned,
-    lower port only the lower input).
-    """
-    known = [np.array(spec.frozen, dtype=bool)]
-    for s in range(spec.m):
-        prev = known[s].reshape(-1, 2, 1 << s)
-        nxt = np.empty_like(prev)
-        nxt[:, 0, :] = prev[:, 0, :] & prev[:, 1, :]
-        nxt[:, 1, :] = prev[:, 1, :]
-        known.append(nxt.reshape(-1))
-    return known

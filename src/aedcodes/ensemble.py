@@ -37,7 +37,8 @@ class EnsembleConfig:
 
     With resample_per_frame the automorphisms are redrawn for every decoded
     frame (seeded by frame position); otherwise one fixed set is drawn from
-    `seed`.  dedupe forces pairwise-distinct compiled permutations.
+    `seed`.  An ensemble's automorphisms, and so its compiled
+    permutations, are pairwise distinct (see sample_ensemble).
 
     kind, descriptor and to_dict(m) are shared with the plain configs: the
     kind and list size are the constituent's, subgroup and M the ensemble's.
@@ -48,12 +49,9 @@ class EnsembleConfig:
     constituent: DecoderConfig
     resample_per_frame: bool = False
     seed: int = 0
-    dedupe: bool = True
-    include_identity: bool = False
     # manifest key -> (field, type), in manifest order
     _KEYS = {"seed": ("seed", int), "subgroup": ("subgroup", str),
-             "M": ("size", int), "resample_per_frame": ("resample_per_frame", bool),
-             "dedupe": ("dedupe", bool), "include_identity": ("include_identity", bool)}
+             "M": ("size", int), "resample_per_frame": ("resample_per_frame", bool)}
 
     def __post_init__(self):
         """Refuse what no run can use: a size that is not an integer >= 1
@@ -91,7 +89,7 @@ class EnsembleConfig:
     def check_drawable(self, m: int) -> None:
         """Raise ValueError unless the ensemble can be drawn for length
         2**m (check_ensemble), before a run or its manifest starts."""
-        check_ensemble(m, self.subgroup, self.size, self.dedupe)
+        check_ensemble(m, self.subgroup, self.size)
 
     def sample_automorphisms(self, m: int, rng=None) -> AutomorphismBatch:
         """The ensemble's automorphisms for length 2**m as a batch: the fixed
@@ -99,9 +97,7 @@ class EnsembleConfig:
         (a Generator, or one per frame; see sample_ensemble)."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
-        return sample_ensemble(m, self.subgroup, self.size, rng,
-                               dedupe=self.dedupe,
-                               include_identity=self.include_identity)
+        return sample_ensemble(m, self.subgroup, self.size, rng)
 
 
 def select_winners(x: np.ndarray, valid: np.ndarray, y: np.ndarray
@@ -148,8 +144,7 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
         iters, valid = np.ones(pm.size, dtype=np.int64), np.isfinite(pm)
     elif isinstance(constituent, Bp):
         u, _, it, _ = bp_decode_batch(spec, permuted, constituent.max_iters,
-                                      constituent.stopping, constituent.reduce_graph,
-                                      dtype=bp_dtype)
+                                      constituent.stopping, dtype=bp_dtype)
         # candidates must be codewords for the correlation selection to be
         # meaningful: re-encode the message estimate (equal to the codeword
         # hard decision whenever the branch converged)
@@ -157,7 +152,9 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
     else:
         raise TypeError(f"unsupported constituent decoder {constituent!r}")
     out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
-    np.put_along_axis(out, tables[:, :, None, :], x.reshape(out.shape), axis=3)
+    # one flat scatter: output row r of (F, M, L) starts at r * N
+    row = np.arange(fsz * msz * lsz).reshape(fsz, msz, lsz, 1) * n
+    out.reshape(-1)[(tables[:, :, None, :] + row).ravel()] = x.ravel()
     csz = msz * lsz
     branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, csz))
     return (out.reshape(fsz, csz, n), branch, iters.reshape(fsz, csz),

@@ -22,6 +22,8 @@ decoder APIs themselves default to float64.
 
 from __future__ import annotations
 
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +56,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate {self.rate} outside (0, 1]")
         check_seed(self.seed)
@@ -298,8 +302,7 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
         u_hat, x_hat = u3[:, 0], x3[:, 0]
     elif isinstance(decoder, Bp):
         u_hat, x_hat, iters, _ = bp_decode_batch(
-            spec, llr, decoder.max_iters, decoder.stopping, decoder.reduce_graph,
-            dtype=_BP_MC_DTYPE)
+            spec, llr, decoder.max_iters, decoder.stopping, dtype=_BP_MC_DTYPE)
         iters_sum = iters.astype(np.float64)
     else:  # EnsembleConfig
         if decoder.resample_per_frame:
@@ -333,7 +336,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     as the cumulative block-error count (scanned in frame order) reaches
     target_errors, whichever comes first; the record's stopped_by says
     which.  The stopping frame is a pure function of the configuration, so
-    records are reproducible and independent of `workers`.
+    records are reproducible and independent of `workers`, the number of
+    worker processes, which is capped at the CPU and chunk counts.
     """
     if target_errors is not None and target_errors < 0:
         raise ValueError(f"target_errors must be >= 0, got {target_errors}")
@@ -345,6 +349,7 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         raise ValueError("cannot simulate a dimension-0 code")
     budget = frames if frames is not None else MAX_FRAMES
     target = target_errors if target_errors else None
+    workers = min(workers, os.cpu_count() or 1, -(-budget // BATCH_FRAMES))
     t0 = time.perf_counter()
     tables = None
     if isinstance(decoder, EnsembleConfig):

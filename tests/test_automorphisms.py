@@ -56,21 +56,16 @@ def sample_ga_scalar(m, rng):
             return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
 
 
-def sample_ensemble_scalar(m, subgroup, count, rng, dedupe=True,
-                           include_identity=False):
-    """The one-by-one sampling loop; dedupe compares compiled tables."""
+def sample_ensemble_scalar(m, subgroup, count, rng):
+    """The one-by-one sampling loop; a draw whose compiled table equals an
+    earlier one's is dropped."""
     out, seen = [], set()
-    if include_identity:
-        out.append(identity_automorphism(m))
-        seen.add(table_of(out[0]).tobytes())
     while len(out) < count:
         aut = sample_ga_scalar(m, rng) if subgroup == "ga" else sample(m, subgroup, rng)
-        if dedupe:
-            key = table_of(aut).tobytes()
-            if key in seen:
-                continue
+        key = table_of(aut).tobytes()
+        if key not in seen:
             seen.add(key)
-        out.append(aut)
+            out.append(aut)
     return out
 
 
@@ -294,14 +289,12 @@ def test_sample_ensemble_equals_scalar_loop(m, subgroup):
     afterwards as the one-by-one loop; one generator serves every call."""
     new, ref = np.random.default_rng(m), np.random.default_rng(m)
     for count in ensemble_counts(subgroup, m):
-        for dedupe in (True, False):
-            if dedupe and count > group_order(subgroup, m):
-                continue
-            for ident in (False, True):
-                got = sample_ensemble(m, subgroup, count, new, dedupe, ident)
-                want = sample_ensemble_scalar(m, subgroup, count, ref, dedupe, ident)
-                assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for a in want]
-                assert new.bit_generator.state == ref.bit_generator.state
+        if count > group_order(subgroup, m):
+            continue
+        got = sample_ensemble(m, subgroup, count, new)
+        want = sample_ensemble_scalar(m, subgroup, count, ref)
+        assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for a in want]
+        assert new.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
@@ -311,20 +304,17 @@ def test_sample_ensemble_over_generators_equals_scalar_loop(m, subgroup):
     own ensemble in turn, as the one-by-one loop draws it from that
     generator alone, and leaves every generator in the loop's state."""
     for count in (1, 2, 7):
-        for dedupe in (True, False):
-            if dedupe and count > group_order(subgroup, m):
-                continue
-            for ident in (False, True):
-                new = [np.random.default_rng([m, count, s]) for s in range(5)]
-                ref = [np.random.default_rng([m, count, s]) for s in range(5)]
-                got = sample_ensemble(m, subgroup, count, new, dedupe, ident)
-                want = [sample_ensemble_scalar(m, subgroup, count, g, dedupe, ident)
-                        for g in ref]
-                assert got.rows.shape == (5 * count, m) and got.b.shape == (5 * count,)
-                assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for w in want
-                                                        for a in w]
-                assert ([g.bit_generator.state for g in new]
-                        == [g.bit_generator.state for g in ref])
+        if count > group_order(subgroup, m):
+            continue
+        new = [np.random.default_rng([m, count, s]) for s in range(5)]
+        ref = [np.random.default_rng([m, count, s]) for s in range(5)]
+        got = sample_ensemble(m, subgroup, count, new)
+        want = [sample_ensemble_scalar(m, subgroup, count, g) for g in ref]
+        assert got.rows.shape == (5 * count, m) and got.b.shape == (5 * count,)
+        assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for w in want
+                                                for a in w]
+        assert ([g.bit_generator.state for g in new]
+                == [g.bit_generator.state for g in ref])
 
 
 def test_sample_ensemble_over_more_generators_than_one_rank_test():
@@ -385,10 +375,10 @@ class CountingGenerator(np.random.Generator):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_ga_batch_across_draw_extensions(m):
-    """Batches of 1, 2 and 12 (rows, then b, per row of the array), each
-    followed by a single sample(m, "ga"), on one generator: whenever a
-    batch runs past its first bulk draw, the walk extends it and rank-test
-    windows straddle the join.  Each call
+    """Batches of 1, 2 and 12 (rows, then b, per row of the array; at most
+    the group's order), each followed by a single sample(m, "ga"), on one
+    generator: whenever a batch runs past its first bulk draw, the walk
+    extends it and rank-test windows straddle the join.  Each call
     makes one bulk draw and one final redraw unless it extends; some trials
     must extend, and every call must still give the scalar loop's draws and
     final generator state."""
@@ -396,13 +386,13 @@ def test_ga_batch_across_draw_extensions(m):
     ref = np.random.default_rng(30 + m)
     extended = 0
     for trial in range(300):
-        n = (1, 2, 12)[trial % 3]
+        n = min((1, 2, 12)[trial % 3], group_order("ga", m))
         before = new.calls
-        got = automorphisms._ga_batch(m, [new], n, None)
+        got = automorphisms._ga_batch(m, [new], n)
         assert got.shape == (1, n, m + 1) and got.dtype == np.int64
         got = got[0]
         assert got.tolist() == [[*a.rows, a.b] for a in
-                                (sample_ga_scalar(m, ref) for _ in range(n))]
+                                sample_ensemble_scalar(m, "ga", n, ref)]
         assert new.bit_generator.state == ref.bit_generator.state
         assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
         assert new.bit_generator.state == ref.bit_generator.state
@@ -437,13 +427,6 @@ def test_rank_tests_agree_with_mat_inv_at_m10():
                           [full_rank_windows(r, 10) for r in rows])
     assert full_rank_windows(rows[:, :9], 10).shape == (3, 0)
     assert not expect[100] and not expect[200] and 0 < sum(expect) < len(expect)
-
-
-def test_sample_ensemble_identity_flag():
-    rng = np.random.default_rng(10)
-    ens = sample_ensemble(4, "ga", 5, rng, include_identity=True)
-    assert ens[0] == identity_automorphism(4)
-    assert len(ens) == 5
 
 
 # ---------------------------------------------------------------------------

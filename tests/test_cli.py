@@ -176,6 +176,26 @@ def test_simulate_negative_value_fails_before_writing(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_simulate_non_finite_ebn0_is_refused(tmp_path, capsys, monkeypatch, value):
+    """A grid with a non-finite Eb/N0 exits 1 before a manifest is written,
+    and a manifest whose grid holds one does not replay."""
+    monkeypatch.chdir(tmp_path)
+    base = ["--rm", "2,5", "--frames", "20", "--target-errors", "0", "--threads", "1"]
+    code, out, err = run_cli(capsys, "simulate", "--ebn0", f"1:{value}:2", *base)
+    assert code == 1 and out == "" and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+    manifest = tmp_path / "run.json"
+    code, _, _ = run_cli(capsys, "simulate", "--ebn0", "1:1:1", *base,
+                         "--manifest-out", str(manifest))
+    assert code == 0
+    doc = json.loads(manifest.read_text())
+    doc["ebn0_grid"] = [1.0, value]
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    assert code == 1 and out == "" and "finite" in err
+
+
 @pytest.mark.parametrize("rm,size,extra", [
     ("1,2", "40", ["--subgroup", "lta"]), ("0,0", "2", [])],
     ids=["larger-than-group", "m0"])
@@ -260,6 +280,12 @@ def test_verify_rm24_passes(capsys):
     assert "verification: PASS" in out
     assert "pointwise-product closure" in out
     assert "0 failures" in out
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_needs_a_trial(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--rm", "2,4", "--trials", trials)
+    assert code == 1 and out == "" and "--trials" in err
 
 
 def test_verify_non_decreasing_reports_scope(tmp_path, capsys):

@@ -7,7 +7,6 @@ from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       compile_tables, encode, enumerate_codebook, in_code,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
-from aedcodes.decoders import _known_columns
 
 
 def noiseless_llrs(codewords):
@@ -235,50 +234,6 @@ def test_bp_batch_independent_of_batching():
     for i in (0, 7, 23):
         u1, x1, it1, cv1 = bp_decode_batch(spec, llrs[i:i + 1], 25, True)
         assert np.array_equal(x1[0], x_all[i]) and it1[0] == it_all[i]
-
-
-def test_bp_known_columns_structure():
-    spec = rm_code(1, 3)
-    known = _known_columns(spec)
-    assert np.array_equal(known[0], spec.frozen)
-    # brute recursion on index pairs
-    for s in range(spec.m):
-        step = 1 << s
-        for i in range(spec.n):
-            if (i >> s) & 1:
-                assert known[s + 1][i] == known[s][i]
-            else:
-                assert known[s + 1][i] == (known[s][i] and known[s][i + step])
-    # the root column is pinned only where the codeword bit is forced
-    assert not known[spec.m].any() or spec.k == 0
-
-
-def test_bp_reduced_graph_equivalent_at_large_priors():
-    """With very large frozen priors the pruned wedge messages are absorbed
-    exactly, so hard decisions match the full graph bit for bit."""
-    import aedcodes.decoders as dec
-    spec = rm_code(2, 5)
-    rng = np.random.default_rng(15)
-    llrs = rng.normal(0.3, 1.5, (60, spec.n))
-    old = dec.L_MAX
-    dec.L_MAX = 1e30
-    try:
-        u1, x1, it1, cv1 = bp_decode_batch(spec, llrs, 15, True)
-        u2, x2, it2, cv2 = bp_decode_batch(spec, llrs, 15, True, reduce_graph=True)
-    finally:
-        dec.L_MAX = old
-    assert np.array_equal(x1, x2) and np.array_equal(u1, u2)
-    assert np.array_equal(it1, it2) and np.array_equal(cv1, cv2)
-
-
-def test_bp_reduced_graph_agrees_at_default_priors():
-    spec = rm_code(2, 5)
-    rng = np.random.default_rng(16)
-    llrs = rng.normal(0.7, 1.5, (200, spec.n))
-    _, x1, _, cv1 = bp_decode_batch(spec, llrs, 30, True)
-    _, x2, _, cv2 = bp_decode_batch(spec, llrs, 30, True, reduce_graph=True)
-    agree = np.mean(np.all(x1 == x2, axis=1))
-    assert agree > 0.95
 
 
 def test_bp_parameter_errors():

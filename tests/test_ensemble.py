@@ -5,8 +5,8 @@ import pytest
 
 from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
                       bp_decode_batch, compile_tables, compose,
-                      conjugated_sc_branch, encode, identity_automorphism,
-                      in_code, inverse, mlup_decompose, polar_transform,
+                      conjugated_sc_branch, encode, format_automorphism,
+                      identity_automorphism, in_code, inverse, mlup_decompose, polar_transform,
                       rm_code, sample, sc_decode_batch,
                       scl_decode_batch, verify_lta_absorption,
                       verify_lta_commutation)
@@ -147,8 +147,14 @@ def test_ensemble_with_identity_never_loses_to_plain_sc_much():
     # candidate list, so the ensemble only loses on genuine ML boundaries
     spec = rm_code(2, 5)
     rng = np.random.default_rng(6)
-    cfg = EnsembleConfig(4, "ga", Sc(), seed=7, include_identity=True)
-    tables = compile_tables(cfg.sample_automorphisms(spec.m))
+    cfg = EnsembleConfig(3, "ga", Sc(), seed=7)
+    auts = [identity_automorphism(spec.m), *cfg.sample_automorphisms(spec.m)]
+    assert [format_automorphism(a) for a in auts] == [
+        "m=5; A=10000,01000,00100,00010,00001; b=00000",
+        "m=5; A=01111,00101,10101,00111,01001; b=00011",
+        "m=5; A=01101,11001,01010,11111,01110; b=01100",
+        "m=5; A=11111,01110,10011,10111,01011; b=00101"]
+    tables = compile_tables(auts)
     x, y, llr = make_frames(spec, rng, 400, sigma=0.85)
     err_plain = int(np.any(sc_decode_batch(spec, llr)[1] != x, axis=1).sum())
     x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
@@ -223,8 +229,7 @@ def constituent_candidates(spec, llrs, constituent):
         return sc_decode_batch(spec, llrs)[1][:, None, :]
     if isinstance(constituent, Scl):
         return scl_decode_batch(spec, llrs, constituent.list_size)[1]
-    u = bp_decode_batch(spec, llrs, constituent.max_iters, constituent.stopping,
-                        constituent.reduce_graph)[0]
+    u = bp_decode_batch(spec, llrs, constituent.max_iters, constituent.stopping)[0]
     return polar_transform(u)[:, None, :]
 
 
@@ -275,10 +280,9 @@ def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
 
 def test_constituent_dict_roundtrip():
     ensembles = (EnsembleConfig(5, "uta", Scl(2), seed=99),
-                 EnsembleConfig(3, "pi", Bp(20, True, True), seed=4,
-                                resample_per_frame=True, dedupe=False,
-                                include_identity=True))
-    for dec in (Sc(), Scl(16), Bp(100, False, True), *ensembles):
+                 EnsembleConfig(3, "pi", Bp(20, True), seed=4,
+                                resample_per_frame=True))
+    for dec in (Sc(), Scl(16), Bp(100, False), *ensembles):
         assert decoder_from_dict(dec.to_dict(4)) == dec
     with pytest.raises(ValueError):
         decoder_from_dict({"kind": "viterbi"})

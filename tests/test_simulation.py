@@ -1,5 +1,7 @@
 """Channel model, ML oracle and the Monte-Carlo harness."""
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,12 @@ def test_seed_must_be_a_non_negative_integer():
             next(_stream_states(bad, 0, 2))
     assert ChannelConfig(2.0, 0.5, seed=np.int64(3)).seed == 3
     assert EnsembleConfig(2, "ga", Sc(), seed=2**130).seed == 2**130
+
+
+@pytest.mark.parametrize("ebn0", [float("nan"), float("inf"), -float("inf")])
+def test_channel_refuses_a_non_finite_ebn0(ebn0):
+    with pytest.raises(ValueError, match="finite"):
+        ChannelConfig(ebn0, 0.5)
 
 
 def test_sigma_formula():
@@ -116,6 +124,34 @@ def test_run_mc_reproducible_and_worker_invariant():
     for other in (b, c):
         assert (a.frames, a.block_errors, a.bit_errors) == \
                (other.frames, other.block_errors, other.bit_errors)
+
+
+def test_run_mc_starts_no_more_workers_than_chunks(monkeypatch):
+    """workers=10_000 on a two-chunk run asks the pool for at most two
+    processes.  The fake pool runs every chunk inline and starts none."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    spec = rm_code(2, 5)
+    rec = run_mc(spec, Sc(), ChannelConfig(2.0, spec.rate, seed=5), frames=512,
+                 target_errors=None, workers=10_000)
+    assert all(w <= 2 for w in started)
+    assert (rec.frames, rec.block_errors, rec.bit_errors) == (512, 64, 379)
 
 
 def test_run_mc_error_target_is_frame_exact():
@@ -296,8 +332,7 @@ def _oracle_tables(spec, cfg: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
     return np.array([
         [compile_brute(a) for a in sample_ensemble_scalar(
             spec.m, cfg.subgroup, cfg.size,
-            np.random.default_rng(_frame_stream(cfg.seed, f)),
-            cfg.dedupe, cfg.include_identity)]
+            np.random.default_rng(_frame_stream(cfg.seed, f)))]
         for f in range(lo, hi)])
 
 
@@ -325,25 +360,19 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
     assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
 
 
-@pytest.mark.parametrize("r,m,size,subgroup,lo,hi,flags", [
-    (4, 8, 32, "ga", 5, 8, {}),                           # the benchmark's shape
-    (2, 5, 4, "lta", 0, 6, {}),
-    (2, 5, 4, "uta", 0, 6, {}),
-    (2, 5, 4, "pi", 0, 6, {}),
-    (2, 5, 4, "ga", 0, 6, {"include_identity": True}),
-    (2, 5, 4, "pi", 0, 6, {"include_identity": True}),
-    (2, 5, 5, "ga", 0, 6, {"dedupe": False}),
-    (2, 3, 6, "pi", 0, 6, {"dedupe": False}),
-    (1, 1, 2, "ga", 0, 20, {}),  # all of ga(1): dropped duplicates, extended draws
-], ids=["rm48-aut32-ga", "lta", "uta", "pi", "ga-identity", "pi-identity",
-        "ga-no-dedupe", "pi-no-dedupe", "ga-m1-whole-group"])
+@pytest.mark.parametrize("r,m,size,subgroup,lo,hi", [
+    (4, 8, 32, "ga", 5, 8),                           # the benchmark's shape
+    (2, 5, 4, "lta", 0, 6),
+    (2, 5, 4, "uta", 0, 6),
+    (2, 5, 4, "pi", 0, 6),
+    (1, 1, 2, "ga", 0, 20),  # all of ga(1): dropped duplicates, extended draws
+], ids=["rm48-aut32-ga", "lta", "uta", "pi", "ga-m1-whole-group"])
 def test_eval_chunk_ensembles_equal_scalar_oracle(monkeypatch, r, m, size, subgroup,
-                                                  lo, hi, flags):
+                                                  lo, hi):
     """The tables one chunk compiles for a resampled ensemble are those of
-    the reference sampler run frame by frame, for every subgroup and flag."""
+    the reference sampler run frame by frame, for every subgroup."""
     spec = rm_code(r, m)
-    cfg = EnsembleConfig(size, subgroup, Sc(), resample_per_frame=True, seed=23,
-                         **flags)
+    cfg = EnsembleConfig(size, subgroup, Sc(), resample_per_frame=True, seed=23)
     seen = _spy_chunk(monkeypatch, spec, cfg, ChannelConfig(1.0, spec.rate, seed=3),
                       lo, hi)
     assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
@@ -351,11 +380,10 @@ def test_eval_chunk_ensembles_equal_scalar_oracle(monkeypatch, r, m, size, subgr
 
 @pytest.mark.parametrize("decoder", [
     EnsembleConfig(4, "ga", Sc(), resample_per_frame=True, seed=1),
-    EnsembleConfig(3, "lta", Sc(), resample_per_frame=True, seed=2,
-                   include_identity=True, dedupe=False),
-    EnsembleConfig(4, "ga", Scl(2), seed=3, include_identity=True),
+    EnsembleConfig(3, "lta", Sc(), resample_per_frame=True, seed=2),
+    EnsembleConfig(4, "ga", Scl(2), seed=3),
     EnsembleConfig(3, "pi", Bp(5), seed=4),
-], ids=["ga-resampled", "lta-resampled-identity", "ga-fixed-identity", "pi-fixed"])
+], ids=["ga-resampled", "lta-resampled", "ga-fixed-scl2", "pi-fixed"])
 def test_run_mc_builds_no_automorphism_objects(monkeypatch, decoder):
     """Ensembles stay arrays from the draw through the compile: a run_mc
     over two chunks completes with AffineAutomorphism construction made to
