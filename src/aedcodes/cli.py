@@ -11,17 +11,18 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .automorphisms import SUBGROUPS, compose, mlup_decompose, sample
+from .automorphisms import (SUBGROUPS, compose, format_automorphism,
+                            mlup_decompose, sample)
 from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
 from .decoders import Bp, Sc, Scl, sc_decode_batch
-from .ensemble import (EnsembleConfig, _check_manifest_keys, _manifest_value,
-                       decoder_from_dict, verify_lta_absorption,
+from .ensemble import (EnsembleConfig, verify_lta_absorption,
                        verify_lta_commutation)
 from .simulation import CSV_HEADER, ChannelConfig, format_csv_row, run_mc
 
@@ -151,131 +152,196 @@ def cmd_code_info(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _build_decoder(args):
+# A run is its manifest.  _manifest writes the manifest of the flags and
+# _load_run reads any manifest, a written one or a replayed one, so both
+# kinds of run pass the same checks.  No other module reads or writes
+# manifest keys.
+
+def _manifest(args) -> dict:
+    """The manifest of the simulate flags, in written key order.  Besides
+    the flags' own combinations it checks only what writing needs: the code
+    of --rm or --frozen-file and, for a fixed ensemble, the configuration
+    its automorphisms are drawn from.  _load_run checks every value."""
     if args.list is not None and args.decoder != "scl":
         raise UsageError("--list is only valid with --decoder scl")
     if args.iters is not None and args.decoder != "bp":
         raise UsageError("--iters is only valid with --decoder bp")
     if args.no_stopping and args.decoder != "bp":
         raise UsageError("--no-stopping is only valid with --decoder bp")
-    if args.decoder == "sc":
-        constituent = Sc()
-    elif args.decoder == "scl":
-        constituent = Scl(list_size=args.list if args.list is not None else 8)
-    else:
-        constituent = Bp(max_iters=args.iters if args.iters is not None else 200,
-                         stopping=not args.no_stopping)
+    if args.ensemble == 0 and args.subgroup is not None:
+        raise UsageError("--subgroup needs --ensemble M")
+    if args.ensemble == 0 and args.resample_per_frame:
+        raise UsageError("--resample-per-frame needs --ensemble M")
+    if args.ebn0 is None:
+        raise UsageError("--ebn0 START:STOP:COUNT is required")
+    spec = _resolve_code(args)
+    constituent = {"kind": args.decoder}
+    if args.decoder == "scl":
+        constituent["list_size"] = Scl.list_size if args.list is None else args.list
+    elif args.decoder == "bp":
+        constituent["max_iters"] = Bp.max_iters if args.iters is None else args.iters
+        constituent["stopping"] = not args.no_stopping
+    man = {
+        "tool": "aedcodes", "version": __version__,
+        "code": ({"rm": [int(v) for v in args.rm.split(",")]}
+                 if args.rm is not None else
+                 {"m": spec.m, "frozen": "".join("1" if f else "0" for f in spec.frozen)}),
+        "ebn0_grid": _parse_grid(args.ebn0), "frames": args.frames,
+        "target_errors": args.target_errors or None, "seed": args.seed,
+        "all_zero": args.all_zero,
+    }
     if args.ensemble == 0:
-        if args.subgroup is not None:
-            raise UsageError("--subgroup needs --ensemble M")
-        if args.resample_per_frame:
-            raise UsageError("--resample-per-frame needs --ensemble M")
-        return constituent
-    return EnsembleConfig(size=args.ensemble,
-                          subgroup=args.subgroup or "ga",
-                          constituent=constituent,
-                          resample_per_frame=args.resample_per_frame,
-                          seed=args.seed)
+        man["constituent"] = constituent
+        return man
+    ensemble = {"seed": args.seed, "subgroup": args.subgroup or "ga", "M": args.ensemble,
+                "resample_per_frame": args.resample_per_frame, "constituent": constituent}
+    if not args.resample_per_frame:
+        # the draw depends on the subgroup, size and seed only
+        ensemble["automorphisms"] = _drawn(spec.m, EnsembleConfig(
+            args.ensemble, ensemble["subgroup"], Sc(), seed=args.seed))
+    man["ensemble"] = ensemble
+    return man
 
 
-def _spec_from_manifest(man: dict) -> CodeSpec:
-    """The code section, {"rm": [r, m]} or {"m": m, "frozen": "0110..."},
-    by decoder_from_dict's rule: no unknown keys, no converted values."""
-    c = _manifest_value(man, "code", dict)
-    try:
-        if "rm" in c:
-            _check_manifest_keys(c, {"rm"})
-            rm = _manifest_value(c, "rm", list)
-            if len(rm) != 2 or not all(type(v) is int for v in rm):
-                raise ValueError(f"'rm' must be two integers, got {rm!r}")
-            return rm_code(*rm)
-        _check_manifest_keys(c, {"m", "frozen"})
-        pattern = _manifest_value(c, "frozen", str)
-        if set(pattern) - {"0", "1"}:
-            raise ValueError(f"'frozen' must be a string of 0/1, got {pattern!r}")
-        frozen = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("1")
-        return polar_code(_manifest_value(c, "m", int), frozen)
-    except ValueError as exc:
-        raise UsageError(f"manifest section 'code': {exc}") from None
+def _drawn(m: int, ensemble: EnsembleConfig) -> list[str]:
+    """A fixed ensemble's automorphisms in text form: the draw from its seed."""
+    return [format_automorphism(a) for a in ensemble.sample_automorphisms(m)]
 
 
-def _run_from_manifest(man: dict) -> tuple:
-    """(ebn0_grid, frames, target_errors, seed, all_zero) of a manifest, by
-    decoder_from_dict's rule: a value must already have its JSON type and
-    is never converted.  frames and target_errors may be null and all_zero
-    absent (false); ChannelConfig rejects a negative seed and run_mc a
-    negative target_errors."""
-    try:
-        grid = _manifest_value(man, "ebn0_grid", list)
-        frames, target = (None if man[key] is None else _manifest_value(man, key, int)
-                          for key in ("frames", "target_errors"))
-        seed = _manifest_value(man, "seed", int)
-    except KeyError as exc:
-        raise UsageError(f"manifest lacks {exc}") from None
-    all_zero = _manifest_value(man, "all_zero", bool) if "all_zero" in man else False
+def _load_run(man) -> tuple:
+    """(spec, decoder, channels, frames, target_errors, all_zero) of a
+    manifest, after every check a run makes before it starts.
+
+    A manifest is outside input.  A value must already have its JSON type
+    (booleans for flags, integers other than booleans for counts) and is
+    never converted.  Unknown keys and missing keys are refused, except
+    that all_zero, an ensemble's seed and resample_per_frame and a
+    constituent's parameters may be absent and take their defaults.  A
+    fixed ensemble must list exactly the automorphisms its seed draws, and
+    a resampled one lists none.  A manifest replays only under the rules of
+    the release that wrote it, so another tool or version is refused.
+    A refused value is named by its key."""
+    if not isinstance(man, dict):
+        raise UsageError(f"manifest must be a JSON object, got {man!r}")
+    for key, want in (("tool", "aedcodes"), ("version", __version__)):
+        if _value(man, key, str) != want:
+            raise UsageError(f"manifest key {key!r} must be {want!r}, got {man[key]!r}")
+    spec = _section(man, "code", _load_code)
+    if "ensemble" in man:
+        section, decoder = "ensemble", _section(man, "ensemble", _load_ensemble, spec.m)
+    else:
+        section, decoder = "constituent", _section(man, "constituent", _load_constituent)
+    _check_keys(man, {"tool", "version", "code", section, "ebn0_grid", "frames",
+                      "target_errors", "seed", "all_zero"})
+    grid = _value(man, "ebn0_grid", list)
+    frames = _value(man, "frames", int, null=True)
+    target = _value(man, "target_errors", int, null=True)
+    seed = _value(man, "seed", int)
+    all_zero = _value(man, "all_zero", bool) if "all_zero" in man else False
+    if frames is not None and frames < 1:
+        raise UsageError(f"frames (--frames) must be >= 1, got {frames}")
+    if target is not None and target < 0:
+        raise UsageError(f"target_errors (--target-errors) must be >= 0, got {target}")
+    if frames is None and not target:
+        raise UsageError("need frames (--frames) and/or a positive "
+                         "target_errors (--target-errors)")
     if not grid or not all(isinstance(e, (int, float)) and not isinstance(e, bool)
                            for e in grid):
         raise UsageError(f"manifest key 'ebn0_grid' must be a non-empty list "
                          f"of numbers, got {grid!r}")
-    return grid, frames, target, seed, all_zero
+    try:
+        grid = [float(e) for e in grid]
+    except OverflowError:
+        raise UsageError("manifest key 'ebn0_grid' holds an integer beyond "
+                         "the float range") from None
+    # ChannelConfig refuses a non-finite Eb/N0 and a negative seed
+    channels = [ChannelConfig(e, spec.rate, seed=seed) for e in grid]
+    return spec, decoder, channels, frames, target, all_zero
+
+
+def _load_code(c: dict) -> CodeSpec:
+    """{"rm": [r, m]} or {"m": m, "frozen": "0110..."}."""
+    if "rm" in c:
+        _check_keys(c, {"rm"})
+        rm = _value(c, "rm", list)
+        if len(rm) != 2 or not all(type(v) is int for v in rm):
+            raise UsageError(f"'rm' must be two integers, got {rm!r}")
+        return rm_code(*rm)
+    _check_keys(c, {"m", "frozen"})
+    pattern = _value(c, "frozen", str)
+    if set(pattern) - {"0", "1"}:
+        raise UsageError(f"'frozen' must be a string of 0/1, got {pattern!r}")
+    frozen = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("1")
+    return polar_code(_value(c, "m", int), frozen)
+
+
+def _load_constituent(d: dict) -> Sc | Scl | Bp:
+    """{"kind": ..., plus the fields of that decoder's config}."""
+    cls = {c.kind: c for c in (Sc, Scl, Bp)}.get(_value(d, "kind", str))
+    if cls is None:
+        raise UsageError(f"unknown decoder kind {d['kind']!r}")
+    params = {f.name: type(f.default) for f in fields(cls)}
+    _check_keys(d, {"kind", *params})
+    return cls(**{key: _value(d, key, typ) for key, typ in params.items() if key in d})
+
+
+def _load_ensemble(d: dict, m: int) -> EnsembleConfig:
+    """{"seed", "subgroup", "M", "resample_per_frame", "constituent"}, and
+    for a fixed ensemble "automorphisms", which must equal _drawn."""
+    _check_keys(d, {"seed", "subgroup", "M", "resample_per_frame", "constituent",
+                    "automorphisms"})
+    optional = {key: _value(d, key, typ)
+                for key, typ in (("resample_per_frame", bool), ("seed", int)) if key in d}
+    ensemble = EnsembleConfig(size=_value(d, "M", int), subgroup=_value(d, "subgroup", str),
+                              constituent=_section(d, "constituent", _load_constituent),
+                              **optional)
+    ensemble.check_drawable(m)
+    if ensemble.resample_per_frame:
+        if "automorphisms" in d:
+            raise UsageError("a resampled ensemble lists no 'automorphisms'")
+    elif _value(d, "automorphisms", list) != _drawn(m, ensemble):
+        raise UsageError(f"'automorphisms' must list the {ensemble.size} automorphisms "
+                         f"that seed {ensemble.seed} draws, in text form")
+    return ensemble
+
+
+def _section(d: dict, key: str, load, *args):
+    """load(d[key], *args) for a section that must be an object; a refusal
+    inside it names the section too."""
+    section = _value(d, key, dict)
+    try:
+        return load(section, *args)
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"manifest section {key!r}: {exc}") from None
+
+
+def _value(d: dict, key: str, typ: type, null: bool = False):
+    """d[key], which must already be a `typ` (an int is not a bool), or
+    None when `null`."""
+    if key not in d:
+        raise UsageError(f"manifest lacks {key!r}")
+    value = d[key]
+    if (value is None and null) or (isinstance(value, typ)
+                                    and not (typ is int and isinstance(value, bool))):
+        return value
+    raise UsageError(f"manifest key {key!r} must be {typ.__name__}, got {value!r}")
+
+
+def _check_keys(d: dict, known: set[str]) -> None:
+    unknown = sorted(set(d) - known)
+    if unknown:
+        raise UsageError(f"unknown manifest keys {unknown}")
 
 
 def cmd_simulate(args) -> int:
-    if args.from_manifest is not None:
+    if args.from_manifest is None:
+        man = _manifest(args)
+    else:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             man = json.load(fh)
-        if not isinstance(man, dict):
-            raise UsageError(f"manifest must be a JSON object, got {man!r}")
-        # a manifest replays only under the rules of the release that wrote it
-        for key, want in (("tool", "aedcodes"), ("version", __version__)):
-            if key not in man:
-                raise UsageError(f"manifest lacks {key!r}")
-            if man[key] != want:
-                raise UsageError(f"manifest key {key!r} must be {want!r}, "
-                                 f"got {man[key]!r}")
-        spec = _spec_from_manifest(man)
-        section = "ensemble" if "ensemble" in man else "constituent"
-        try:
-            decoder = decoder_from_dict(_manifest_value(man, section, dict))
-        except ValueError as exc:
-            raise UsageError(f"manifest section {section!r}: {exc}") from None
-        grid, frames, target, seed, all_zero = _run_from_manifest(man)
-        _check_manifest_keys(man, {"tool", "version", "code", section, "ebn0_grid",
-                                   "frames", "target_errors", "seed", "all_zero"})
-        channels = [ChannelConfig(float(e), spec.rate, seed=seed) for e in grid]
-    else:
-        spec = _resolve_code(args)
-        decoder = _build_decoder(args)
-        if args.ebn0 is None:
-            raise UsageError("--ebn0 START:STOP:COUNT is required")
-        grid = _parse_grid(args.ebn0)
-        if args.target_errors < 0:
-            raise UsageError("--target-errors must be >= 0")
-        if args.frames is None and not args.target_errors:
-            raise UsageError("need --frames and/or a positive --target-errors")
-        if args.frames is not None and args.frames < 1:
-            raise UsageError("--frames must be >= 1")
-        frames = args.frames
-        target = args.target_errors or None
-        seed = args.seed
-        all_zero = args.all_zero
-        # a bad seed fails here, before the manifest is written
-        channels = [ChannelConfig(e, spec.rate, seed=seed) for e in grid]
-
-        man = {
-            "tool": "aedcodes", "version": __version__,
-            "code": ({"rm": [int(v) for v in args.rm.split(",")]}
-                     if args.rm is not None else
-                     {"m": spec.m,
-                      "frozen": "".join("1" if f else "0" for f in spec.frozen)}),
-            "ebn0_grid": grid, "frames": frames, "target_errors": target,
-            "seed": seed, "all_zero": all_zero,
-        }
-        if isinstance(decoder, EnsembleConfig):
-            decoder.check_drawable(spec.m)
-        section = decoder.to_dict(spec.m)
-        # an ensemble's section nests its constituent's
-        man["ensemble" if "constituent" in section else "constituent"] = section
+    spec, decoder, channels, frames, target, all_zero = _load_run(man)
+    if args.from_manifest is None:
+        # written only once its own replay reader has accepted it
         path = args.manifest_out or "aedcodes-run.manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(man, fh, indent=2)

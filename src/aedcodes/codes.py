@@ -124,7 +124,6 @@ class CodeSpec:
         self.k = int(self.info_indices.size)
         self.label = label if label is not None else f"code(m={m},k={self.k})"
         self._generator = None
-        self._parity = None
 
     @property
     def rate(self) -> float:
@@ -149,15 +148,6 @@ class CodeSpec:
             self._generator = g
         return self._generator
 
-    @property
-    def parity(self) -> np.ndarray:
-        """(N-k) x N parity-check matrix from Gaussian elimination of the generator."""
-        if self._parity is None:
-            h = _nullspace_gf2(self.generator)
-            h.setflags(write=False)
-            self._parity = h
-        return self._parity
-
     def __repr__(self):
         return f"CodeSpec({self.label}, N={self.n}, k={self.k})"
 
@@ -180,12 +170,10 @@ def rm_code(r: int, m: int) -> CodeSpec:
 
 
 def polar_code(m: int, frozen) -> CodeSpec:
-    """Code with an explicitly given frozen indicator vector of length 2**m."""
+    """Code with an explicitly given frozen indicator vector of length 2**m
+    (CodeSpec checks m and the length)."""
     frozen = np.asarray(frozen, dtype=bool)
-    if frozen.shape != (1 << m,):
-        raise ValueError(f"frozen vector must have length {1 << m}, got {frozen.shape}")
-    k = int(np.count_nonzero(~frozen))
-    return CodeSpec(m, frozen, label=f"polar(m={m},k={k})")
+    return CodeSpec(m, frozen, label=f"polar(m={m},k={np.count_nonzero(~frozen)})")
 
 
 def is_decreasing(spec: CodeSpec) -> bool:
@@ -265,13 +253,12 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
 
 
 def in_code(spec: CodeSpec, x) -> bool:
-    """Membership test via the parity-check matrix (H x^T = 0)."""
+    """Membership test: G_N is an involution, so x is a codeword exactly
+    when its transform u = x G_N is zero at every frozen index."""
     x = np.asarray(x, dtype=np.uint8)
     if x.shape != (spec.n,):
         raise ValueError(f"word length {x.shape} != N={spec.n}")
-    if spec.k == spec.n:
-        return True
-    return not np.any((spec.parity @ x) & 1)
+    return not polar_transform(x)[spec.frozen].any()
 
 
 def split_subcodes(spec: CodeSpec) -> tuple[CodeSpec, CodeSpec]:
@@ -346,32 +333,3 @@ def write_frozen_file(path, spec: CodeSpec) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"m={spec.m}\n")
         fh.write("".join("1" if f else "0" for f in spec.frozen) + "\n")
-
-
-def _nullspace_gf2(g: np.ndarray) -> np.ndarray:
-    """Basis of the right nullspace of a GF(2) matrix, one row per vector."""
-    a = np.array(g, dtype=np.uint8) & 1
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hit = np.flatnonzero(a[r:, c])
-        if hit.size == 0:
-            continue
-        p = r + hit[0]
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        elim = np.flatnonzero(a[:, c])
-        elim = elim[elim != r]
-        a[elim] ^= a[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    h = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, c in enumerate(free):
-        h[i, c] = 1
-        for rr, pc in enumerate(pivots):
-            h[i, pc] = a[rr, c]
-    return h

@@ -21,7 +21,7 @@ independently, so per-row results never depend on how calls are batched.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +33,22 @@ _BP_ROW_SLAB = 2048  # cache-friendly upper bound on rows per BP workspace
 
 # ---------------------------------------------------------------------------
 # decoder configurations (used by the ensemble and simulation layers)
+#
+# descriptor is the (kind, subgroup, M, L) of a result row, shared with
+# EnsembleConfig: plain decoders carry subgroup "-" and M = 0, and L is the
+# list size (1 for SC, 0 for BP).
 
-class _PlainConfig:
-    """Members the plain decoder configurations share with EnsembleConfig.
-
-    descriptor is the (kind, subgroup, M, L) of a result row: plain decoders
-    carry subgroup "-" and M = 0, and L is the list size (1 for SC, 0 for
-    BP).  to_dict(m) is the manifest form that decoder_from_dict rebuilds;
-    m, the code's log-length, matters only to fixed ensembles.
-    """
-
-    def to_dict(self, m: int) -> dict:
-        return {"kind": self.kind, **asdict(self)}
+def check_count(name: str, value) -> None:
+    """Refuse a count no run can use: TypeError unless `value` is an
+    integer (bool excluded), ValueError unless it is >= 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer >= 1, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
-class Sc(_PlainConfig):
+class Sc:
     """Plain successive cancellation."""
 
     kind = "sc"
@@ -56,15 +56,14 @@ class Sc(_PlainConfig):
 
 
 @dataclass(frozen=True)
-class Scl(_PlainConfig):
+class Scl:
     """Successive cancellation list decoding with `list_size` paths."""
 
     list_size: int = 8
     kind = "scl"
 
     def __post_init__(self):
-        if self.list_size < 1:
-            raise ValueError("list_size must be >= 1")
+        check_count("list_size", self.list_size)
 
     @property
     def descriptor(self) -> tuple[str, str, int, int]:
@@ -72,7 +71,7 @@ class Scl(_PlainConfig):
 
 
 @dataclass(frozen=True)
-class Bp(_PlainConfig):
+class Bp:
     """Iterative decoding with an optional generator-matrix stopping test."""
 
     max_iters: int = 200
@@ -81,8 +80,9 @@ class Bp(_PlainConfig):
     descriptor = (kind, "-", 0, 0)
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_count("max_iters", self.max_iters)
+        if not isinstance(self.stopping, bool):
+            raise TypeError(f"stopping must be a bool, got {self.stopping!r}")
 
 
 # ---------------------------------------------------------------------------

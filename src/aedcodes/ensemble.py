@@ -5,17 +5,16 @@ the SC/permutation commutation properties.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .automorphisms import (SUBGROUPS, AffineAutomorphism, AutomorphismBatch,
-                            check_ensemble, compile_tables, compose,
-                            format_automorphism, inverse, mlup_decompose, sample,
-                            sample_ensemble)
+                            check_ensemble, compile_tables, compose, inverse,
+                            mlup_decompose, sample, sample_ensemble)
 from .codes import CodeSpec, is_decreasing, polar_transform
-from .decoders import (Bp, Sc, Scl, bp_decode_batch, sc_decode_batch,
-                       scl_decode_batch)
+from .decoders import (Bp, Sc, Scl, bp_decode_batch, check_count,
+                       sc_decode_batch, scl_decode_batch)
 
 DecoderConfig = Sc | Scl | Bp
 
@@ -40,8 +39,8 @@ class EnsembleConfig:
     `seed`.  An ensemble's automorphisms, and so its compiled
     permutations, are pairwise distinct (see sample_ensemble).
 
-    kind, descriptor and to_dict(m) are shared with the plain configs: the
-    kind and list size are the constituent's, subgroup and M the ensemble's.
+    kind and descriptor are shared with the plain configs: the kind and
+    list size are the constituent's, subgroup and M the ensemble's.
     """
 
     size: int
@@ -49,18 +48,12 @@ class EnsembleConfig:
     constituent: DecoderConfig
     resample_per_frame: bool = False
     seed: int = 0
-    # manifest key -> (field, type), in manifest order
-    _KEYS = {"seed": ("seed", int), "subgroup": ("subgroup", str),
-             "M": ("size", int), "resample_per_frame": ("resample_per_frame", bool)}
 
     def __post_init__(self):
         """Refuse what no run can use: a size that is not an integer >= 1
         (bool included; TypeError for the type, as check_seed), a subgroup
         outside SUBGROUPS or a constituent that is not Sc, Scl or Bp."""
-        if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)):
-            raise TypeError(f"ensemble size must be an integer >= 1, got {self.size!r}")
-        if self.size < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {self.size}")
+        check_count("ensemble size", self.size)
         if self.subgroup not in SUBGROUPS:
             raise ValueError(f"unknown subgroup {self.subgroup!r}, "
                              f"expected one of {', '.join(SUBGROUPS)}")
@@ -75,16 +68,6 @@ class EnsembleConfig:
     @property
     def descriptor(self) -> tuple[str, str, int, int]:
         return self.kind, self.subgroup, self.size, self.constituent.descriptor[3]
-
-    def to_dict(self, m: int) -> dict:
-        """Manifest form; a fixed ensemble also lists its automorphisms in
-        the text format (replay draws them again from `seed`)."""
-        out = {key: getattr(self, name) for key, (name, _) in self._KEYS.items()}
-        out["constituent"] = self.constituent.to_dict(m)
-        if not self.resample_per_frame:
-            out["automorphisms"] = [format_automorphism(a)
-                                    for a in self.sample_automorphisms(m)]
-        return out
 
     def check_drawable(self, m: int) -> None:
         """Raise ValueError unless the ensemble can be drawn for length
@@ -229,45 +212,3 @@ def verify_lta_absorption(spec: CodeSpec, trials: int,
         if not np.array_equal(full, reduced):
             failures += 1
     return VerificationReport("lta-absorption", trials, failures)
-
-
-# ---------------------------------------------------------------------------
-# manifest
-
-def decoder_from_dict(d: dict) -> DecoderConfig | EnsembleConfig:
-    """Rebuild a decoder config from its to_dict() form: an ensemble when
-    the dict nests a constituent, else the plain decoder named by "kind".
-    A manifest is outside input: a value must already have its field's
-    JSON type (booleans for bool fields, integers other than booleans for
-    int fields) and is never converted; missing optional keys take their
-    defaults, and unknown keys, missing required keys (an ensemble's "M"
-    and "subgroup"), wrong types and unknown kinds raise ValueError."""
-    if "constituent" in d:
-        _check_manifest_keys(d, {*EnsembleConfig._KEYS, "constituent", "automorphisms"})
-        required = {f.name for f in fields(EnsembleConfig) if f.default is MISSING}
-        return EnsembleConfig(
-            constituent=decoder_from_dict(_manifest_value(d, "constituent", dict)),
-            **{name: _manifest_value(d, key, typ)
-               for key, (name, typ) in EnsembleConfig._KEYS.items()
-               if key in d or name in required})
-    cls = {c.kind: c for c in (Sc, Scl, Bp)}.get(d.get("kind"))
-    if cls is None:
-        raise ValueError(f"unknown decoder kind {d.get('kind')!r}")
-    _check_manifest_keys(d, {"kind", *(f.name for f in fields(cls))})
-    return cls(**{f.name: _manifest_value(d, f.name, type(f.default))
-                  for f in fields(cls) if f.name in d})
-
-
-def _check_manifest_keys(d: dict, known: set[str]) -> None:
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ValueError(f"unknown manifest keys {unknown}")
-
-
-def _manifest_value(d: dict, key: str, typ: type):
-    if key not in d:
-        raise ValueError(f"manifest lacks {key!r}")
-    value = d[key]
-    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
-        raise ValueError(f"manifest key {key!r} must be {typ.__name__}, got {value!r}")
-    return value

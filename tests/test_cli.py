@@ -137,7 +137,8 @@ def test_simulate_manifest_that_is_not_an_object_is_usage_error(tmp_path, capsys
     ("code", {"m": 4, "frozen": "2" * 16}),
     ("constituent", {"kind": "scl", "list_sise": 4}), ("constituent", "sc"),
     ("ensemble", {"subgroup": "ga", "constituent": {"kind": "sc"}}),
-    ("all_zeros", True), ("version", "0.1.0"), ("tool", "other")])
+    ("all_zeros", True), ("version", "0.1.0"), ("tool", "other"),
+    ("ebn0_grid", [10**400]), ("code", {"m": 10**20, "frozen": "0"})])
 def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, value):
     """A manifest's run values must have their JSON type: "false" does not
     replay as an all-zero run, nor 3.9 as seed 3.  The manifest and its
@@ -162,6 +163,34 @@ def test_simulate_manifest_run_values_are_not_converted(tmp_path, capsys, key, v
         assert code == 0
     else:
         assert code == 1 and out == "" and key in err
+
+
+@pytest.mark.parametrize("resample,edit", [
+    (False, lambda auts: ["junk"]), (False, lambda auts: 5),
+    (False, lambda auts: auts[::-1]), (False, lambda auts: auts[:2]),
+    (False, lambda auts: auts[:2] + auts[:1]), (False, None),
+    (True, lambda auts: []), (True, lambda auts: ["junk"])],
+    ids=["junk", "int", "reordered", "short", "repeated", "missing",
+         "resampled-empty", "resampled-junk"])
+def test_simulate_manifest_automorphisms_must_be_the_draw(tmp_path, capsys, resample,
+                                                         edit):
+    """A fixed ensemble's manifest lists exactly the automorphisms its seed
+    draws, and replay refuses any other list, or none; a resampled
+    ensemble lists none."""
+    manifest = tmp_path / "ens.json"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--rm", "2,4", "--ensemble", "3", "--ebn0", "2.0:2.0:1",
+        "--frames", "10", "--target-errors", "0", "--threads", "1",
+        "--manifest-out", str(manifest), *(["--resample-per-frame"] if resample else []))
+    assert code == 0
+    doc = json.loads(manifest.read_text())
+    if edit is None:
+        del doc["ensemble"]["automorphisms"]
+    else:
+        doc["ensemble"]["automorphisms"] = edit(doc["ensemble"].get("automorphisms"))
+    manifest.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", "--from-manifest", str(manifest))
+    assert code == 1 and out == "" and "automorphisms" in err
 
 
 @pytest.mark.parametrize("extra,key", [

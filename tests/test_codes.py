@@ -278,15 +278,26 @@ def test_polar_transform_counts_nonzero_as_one():
 # ---------------------------------------------------------------------------
 # membership
 
-def test_in_code_parity_vs_transform():
+def test_in_code_matches_codebook_membership():
+    """in_code against the enumerated codebook: exhaustively over every
+    word of length 8 for codes of every dimension, then on codewords,
+    codewords with one bit flipped and random words of RM(2,5)."""
+    words = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint8)
+    for spec in (rm_code(0, 3), rm_code(1, 3), rm_code(2, 3), rm_code(3, 3),
+                 polar_code(3, np.ones(8, dtype=bool)),
+                 polar_code(3, np.array([1, 0, 1, 0, 1, 1, 0, 0], dtype=bool))):
+        book = {cw.tobytes() for cw in enumerate_codebook(spec)}
+        assert [in_code(spec, w) for w in words] == [w.tobytes() in book for w in words]
     spec = rm_code(2, 5)
+    book = {cw.tobytes() for cw in enumerate_codebook(spec)}
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        word = rng.integers(0, 2, spec.n, dtype=np.uint8)
-        via_transform = not polar_transform(word)[spec.frozen].any()
-        assert in_code(spec, word) == via_transform
-    cw = encode(spec, rng.integers(0, 2, spec.k, dtype=np.uint8))
-    assert in_code(spec, cw)
+    cws = encode(spec, rng.integers(0, 2, (50, spec.k), dtype=np.uint8))
+    flipped = cws ^ np.eye(spec.n, dtype=np.uint8)[rng.integers(0, spec.n, 50)]
+    noise = rng.integers(0, 2, (50, spec.n), dtype=np.uint8)
+    for w in np.concatenate([cws, flipped, noise]):
+        assert in_code(spec, w) == (w.tobytes() in book)
+    assert all(in_code(spec, w) for w in cws)
+    assert not any(in_code(spec, w) for w in flipped)
 
 
 # ---------------------------------------------------------------------------

@@ -268,4 +268,14 @@ def test_decoder_config_validation():
         Scl(0)
     with pytest.raises(ValueError):
         Bp(max_iters=0)
+    # a bool is no count: Scl(True) would describe itself as a list of True
+    for bad in (True, 2.0, "4", None):
+        with pytest.raises(TypeError, match="list_size"):
+            Scl(bad)
+        with pytest.raises(TypeError, match="max_iters"):
+            Bp(max_iters=bad)
+    for bad in ("no", 1, None):
+        with pytest.raises(TypeError, match="stopping"):
+            Bp(stopping=bad)
+    assert Scl(np.int64(4)).list_size == 4 and not Bp(5, False).stopping
     assert Sc().kind == "sc" and Scl(4).kind == "scl" and Bp().kind == "bp"

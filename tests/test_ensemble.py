@@ -1,5 +1,7 @@
 """Ensemble decoding, candidate selection and the commutation checks."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
                       rm_code, sample, sc_decode_batch,
                       scl_decode_batch, verify_lta_absorption,
                       verify_lta_commutation)
-from aedcodes.ensemble import decode_branches, decoder_from_dict, select_winners
+from aedcodes.cli import UsageError, _load_run, _manifest, build_parser
+from aedcodes.ensemble import decode_branches, select_winners
 
 
 def make_frame(spec, rng, sigma=0.7):
@@ -278,14 +281,30 @@ def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
 # ---------------------------------------------------------------------------
 # manifests
 
+def flag_manifest(*flags) -> dict:
+    """The manifest the CLI writes for an RM(2,4) simulate run with these
+    decoder flags, through JSON and back."""
+    args = build_parser().parse_args(["simulate", "--rm", "2,4", "--ebn0", "1:1:1",
+                                      "--frames", "10", *flags])
+    return json.loads(json.dumps(_manifest(args)))
+
+
 def test_constituent_dict_roundtrip():
-    ensembles = (EnsembleConfig(5, "uta", Scl(2), seed=99),
-                 EnsembleConfig(3, "pi", Bp(20, True), seed=4,
-                                resample_per_frame=True))
-    for dec in (Sc(), Scl(16), Bp(100, False), *ensembles):
-        assert decoder_from_dict(dec.to_dict(4)) == dec
-    with pytest.raises(ValueError):
-        decoder_from_dict({"kind": "viterbi"})
+    """The CLI's manifest reader rebuilds the decoder its writer wrote."""
+    for flags, dec in (
+            ([], Sc()),
+            (["--decoder", "scl", "--list", "16"], Scl(16)),
+            (["--decoder", "bp", "--iters", "100", "--no-stopping"], Bp(100, False)),
+            (["--decoder", "scl", "--list", "2", "--ensemble", "5", "--subgroup", "uta",
+              "--seed", "99"], EnsembleConfig(5, "uta", Scl(2), seed=99)),
+            (["--decoder", "bp", "--iters", "20", "--ensemble", "3", "--subgroup", "pi",
+              "--seed", "4", "--resample-per-frame"],
+             EnsembleConfig(3, "pi", Bp(20, True), seed=4, resample_per_frame=True))):
+        assert _load_run(flag_manifest(*flags))[1] == dec
+    man = flag_manifest()
+    man["constituent"] = {"kind": "viterbi"}
+    with pytest.raises(UsageError):
+        _load_run(man)
 
 
 @pytest.mark.parametrize("d", [
@@ -313,19 +332,25 @@ def test_manifest_values_are_not_converted(d):
     """A manifest value of the wrong JSON type is an error, not a value
     converted into something the run never used ("false" is truthy); so
     are an unknown key (a misspelt one would replay as its default) and a
-    missing required one."""
-    with pytest.raises(ValueError):
-        decoder_from_dict(d)
+    missing required one.  `d` is an ensemble section when it nests a
+    constituent and a constituent section otherwise; each is refused for
+    its own fault, before its automorphism list is compared."""
+    man = flag_manifest()
+    del man["constituent"]
+    man["ensemble" if "constituent" in d else "constituent"] = d
+    with pytest.raises(UsageError) as exc:
+        _load_run(man)
+    assert "automorphisms" not in str(exc.value)
 
 
 def test_ensemble_manifest_lists_fixed_automorphisms():
-    cfg = EnsembleConfig(5, "uta", Scl(2), seed=99)
-    man = cfg.to_dict(4)
+    man = flag_manifest("--decoder", "scl", "--list", "2", "--ensemble", "5",
+                        "--subgroup", "uta", "--seed", "99")["ensemble"]
     assert man["M"] == 5 and man["subgroup"] == "uta"
     assert len(man["automorphisms"]) == 5
     from aedcodes import parse_automorphism
     parsed = [parse_automorphism(t) for t in man["automorphisms"]]
-    assert parsed == cfg.sample_automorphisms(4)
-    man2 = EnsembleConfig(5, "uta", Scl(2), seed=99,
-                          resample_per_frame=True).to_dict(4)
-    assert "automorphisms" not in man2
+    assert parsed == EnsembleConfig(5, "uta", Scl(2), seed=99).sample_automorphisms(4)
+    man2 = flag_manifest("--decoder", "scl", "--list", "2", "--ensemble", "5",
+                         "--subgroup", "uta", "--seed", "99", "--resample-per-frame")
+    assert "automorphisms" not in man2["ensemble"]
