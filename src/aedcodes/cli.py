@@ -254,7 +254,7 @@ def _load_run(man) -> tuple:
     except OverflowError:
         raise UsageError("manifest key 'ebn0_grid' holds an integer beyond "
                          "the float range") from None
-    # ChannelConfig refuses a non-finite Eb/N0 and a negative seed
+    # ChannelConfig refuses an Eb/N0 with no usable noise level and a negative seed
     channels = [ChannelConfig(e, spec.rate, seed=seed) for e in grid]
     return spec, decoder, channels, frames, target, all_zero
 

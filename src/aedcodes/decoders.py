@@ -4,6 +4,11 @@ All three decoders share the same LLR kernel primitives and the same graph
 layout: stage ``s`` pairs indices ``i`` and ``i + 2**s`` inside blocks of
 ``2**(s+1)``, so a length-N vector reshaped to ``(-1, 2, 2**s)`` exposes the
 upper/lower ports of every processing element as contiguous views.
+SC and BP keep their LLR workspaces batch-last, index by row, so that a
+node half or a stage slice is one contiguous run of batch values, and SC
+reads its channel stage as the view llrs.T of the caller's rows, with no
+copy.  SCL keeps its workspaces batch-first, one row per path, because it
+gathers paths by row.
 
 SC decodes a node of the decoding tree directly when the frozen pattern
 allows: a rate-0 node (all leaves frozen) gives x = 0, a rate-1 node (no
@@ -150,8 +155,12 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     Runs the node schedule of spec's frozen pattern (see _sc_schedule):
     f- and g-updates only inside mixed nodes, and one direct decision per
     rate-0, rate-1 or repetition node.  There is one LLR workspace per
-    stage, the codeword is assembled in place, and u_hat is
-    polar_transform(x_hat), since G_N is an involution.
+    stage, stored batch-last as (2**s, B), so every node half and every
+    codeword slice is one contiguous run; the channel stage is read as the
+    view llrs.T, never copied.  The codeword is assembled in place as
+    (N, B) and transposed once at the end, so both results are
+    C-contiguous (B, N) uint8, and u_hat is polar_transform(x_hat), since
+    G_N is an involution.
 
     The result equals leaf-order SC except on a tie inside a rate-1 node,
     which takes the hard decision x = (L < 0).  Leaf order differs from it
@@ -160,29 +169,30 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     loses its sign because its inputs differ in magnitude by a factor of
     about 1e12 or more.
     """
-    llrs = np.ascontiguousarray(llrs, dtype=np.float64)
+    llrs = np.asarray(llrs, dtype=np.float64)
     _check_rows(spec, llrs)
     bsz, n = llrs.shape
     m = spec.m
-    llr_ws = [np.empty((bsz, 1 << s)) for s in range(m)] + [llrs]
-    x_out = np.zeros((bsz, n), np.uint8)
+    llr_ws = [np.empty((1 << s, bsz)) for s in range(m)] + [llrs.T]
+    x_out = np.zeros((n, bsz), np.uint8)
     for op, s, lo, mid, hi in _sc_schedule(spec.frozen.tobytes()):
         node = llr_ws[s]
         h = mid - lo
         if op == _F:
-            _boxplus_into(node[:, :h], node[:, h:], llr_ws[s - 1])
+            _boxplus_into(node[:h], node[h:], llr_ws[s - 1])
         elif op == _G:
-            _g_update(node, x_out[:, lo:mid], llr_ws[s - 1])
+            _g_update(node.T, x_out[lo:mid].T, llr_ws[s - 1].T)
         elif op == _COMBINE:
-            x_out[:, lo:mid] ^= x_out[:, mid:hi]
+            x_out[lo:mid] ^= x_out[mid:hi]
         elif op == _RATE1:
-            np.less(node, 0.0, out=x_out[:, lo:hi])
+            np.less(node, 0.0, out=x_out[lo:hi])
         else:  # _REP: the halving sums that g-updates make over zero left bits
-            while node.shape[1] > 1:
-                h = node.shape[1] >> 1
-                node = node[:, :h] + node[:, h:]
-            x_out[:, lo:hi] = node < 0.0
-    return polar_transform(x_out), x_out
+            while len(node) > 1:
+                h = len(node) >> 1
+                node = node[:h] + node[h:]
+            x_out[lo:hi] = node < 0.0
+    x_hat = np.ascontiguousarray(x_out.T)
+    return polar_transform(x_hat), x_hat
 
 
 def _g_update(parent, left_bits, out):

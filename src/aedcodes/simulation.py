@@ -56,11 +56,21 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"Eb/N0 must be finite, got {self.ebn0_db} dB")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate {self.rate} outside (0, 1]")
         check_seed(self.seed)
+        # an Eb/N0 that is not finite, or is finite but beyond about
+        # +-3,080 dB, puts sigma or 2/sigma^2 outside the positive floats
+        try:
+            with np.errstate(divide="ignore"):
+                sigma = self.sigma
+            usable = 0.0 < sigma < math.inf and 0.0 < 2.0 / sigma ** 2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            usable = False
+        if not usable:
+            raise ValueError(f"Eb/N0 must be finite and give a noise level sigma "
+                             f"and an LLR scale 2/sigma^2 that are finite and "
+                             f"positive, got {self.ebn0_db} dB")
 
     @property
     def sigma(self) -> float:

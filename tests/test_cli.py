@@ -205,10 +205,12 @@ def test_simulate_negative_value_fails_before_writing(tmp_path, capsys, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 4000.0, -4000.0])
 def test_simulate_non_finite_ebn0_is_refused(tmp_path, capsys, monkeypatch, value):
-    """A grid with a non-finite Eb/N0 exits 1 before a manifest is written,
-    and a manifest whose grid holds one does not replay."""
+    """A grid with a non-finite Eb/N0, or one whose noise level is not a
+    finite positive float (4000 dB overflows sigma, -4000 dB makes it
+    infinite), exits 1 before a manifest is written, and a manifest whose
+    grid holds one does not replay."""
     monkeypatch.chdir(tmp_path)
     base = ["--rm", "2,5", "--frames", "20", "--target-errors", "0", "--threads", "1"]
     code, out, err = run_cli(capsys, "simulate", "--ebn0", f"1:{value}:2", *base)

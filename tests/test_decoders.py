@@ -1,5 +1,7 @@
 """SC, SCL and BP decoder behaviour, kernels and exact symmetries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,46 @@ def test_sc_output_is_always_a_codeword():
 def test_sc_length_mismatch():
     with pytest.raises(ValueError, match="N=8"):
         sc_decode_batch(rm_code(1, 3), np.zeros((1, 4)))
+
+
+def test_sc_output_independent_of_input_layout():
+    # decode_branches scatters through x.ravel(), so every input layout must
+    # give C-contiguous uint8 rows, and the caller's array is only read
+    spec = rm_code(3, 7)
+    rng = np.random.default_rng(15)
+    big = rng.normal(0.5, 2.0, (2 * 37, spec.n)).astype(np.float32).astype(np.float64)
+    big[::5, ::3] = 0.0
+    llrs = np.ascontiguousarray(big[::2])
+    inputs = {"c": llrs, "fortran": np.asfortranarray(llrs), "row-strided": big[::2],
+              "float32": llrs.astype(np.float32), "list": llrs.tolist()}
+    before = {name: np.array(arr, copy=True) for name, arr in inputs.items()}
+    u_ref, x_ref = sc_decode_batch(spec, llrs.copy())
+    assert np.array_equal(u_ref, polar_transform(x_ref))
+    for name, arr in inputs.items():
+        u, x = sc_decode_batch(spec, arr)
+        for out, ref in ((u, u_ref), (x, x_ref)):
+            assert out.dtype == np.uint8 and out.shape == (37, spec.n), name
+            assert out.flags.c_contiguous, name
+            assert np.array_equal(out, ref), name
+        assert np.array_equal(np.asarray(arr), before[name]), name
+
+
+def test_sc_does_not_copy_its_input():
+    # At its peak, an f- or g-update at stage m, the kernel holds per row
+    # of N LLRs (8N bytes): the workspaces of stages 0..m-1, 8(N-1) bytes;
+    # the codeword, N bytes; and two half-stage temporaries, 8N bytes.
+    # That is 2.125 times llrs.nbytes (x_hat and u_hat, N bytes each, come
+    # after the temporaries are freed); a copy of the channel stage would
+    # add 1 more.
+    spec = rm_code(4, 8)
+    llrs = np.random.default_rng(16).normal(1.0, 2.0, (8192, spec.n))
+    tracemalloc.start()
+    try:
+        sc_decode_batch(spec, llrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * llrs.nbytes
 
 
 def test_sc_sign_flip_linearity():

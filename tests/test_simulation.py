@@ -32,9 +32,13 @@ def test_seed_must_be_a_non_negative_integer():
     assert EnsembleConfig(2, "ga", Sc(), seed=2**130).seed == 2**130
 
 
-@pytest.mark.parametrize("ebn0", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("ebn0", [float("nan"), float("inf"), -float("inf"),
+                                  4000.0, -4000.0, 3080.0, -3100.0, 1e308])
 def test_channel_refuses_a_non_finite_ebn0(ebn0):
-    with pytest.raises(ValueError, match="finite"):
+    # a finite Eb/N0 far from 0 dB is refused too: there sigma (an
+    # OverflowError at 4000 dB, inf at -4000 dB) or 2/sigma^2 leaves the
+    # positive floats
+    with pytest.raises(ValueError, match="Eb/N0.*finite"):
         ChannelConfig(ebn0, 0.5)
 
 
@@ -46,6 +50,9 @@ def test_sigma_formula():
         ChannelConfig(2.0, 0.0)
     with pytest.raises(ValueError):
         ChannelConfig(2.0, 1.5)
+    # the extreme points that still have a usable noise level
+    assert ChannelConfig(3000.0, 0.5).sigma == 1e-150
+    assert ChannelConfig(-3000.0, 0.5).sigma == 1e150
 
 
 def test_transmit_noiseless_limit():
