@@ -23,11 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SUBGROUPS = ("ga", "lta", "uta", "pi")
-# generators whose "ga" draws sample_ensemble rank-tests in one _ga_batch
-# call: enough to amortise numpy's per-call cost, while one call over a
-# 256-frame chunk (about 14 MB of transient arrays at m = 8) raised the
-# process's peak RSS
-_GA_GENERATORS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +278,15 @@ def sample_ensemble(m: int, subgroup: str, count: int,
 
     `rng` is a Generator, or a sequence of them (the frames of a chunk):
     then the batch holds the ensemble of each generator in turn, each drawn
-    as if alone, and the "ga" draws of up to _GA_GENERATORS of them are
-    rank-tested in one call (_ga_batch)."""
+    as if alone, and the "ga" draws of all of them are rank-tested in one
+    call (_ga_batch), whose transient arrays grow with the number of
+    automorphisms drawn; run_mc bounds that by simulation.CHUNK_ROWS."""
     check_ensemble(m, subgroup, count)
     rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
-    if subgroup == "ga":
-        for lo in range(0, len(rngs), _GA_GENERATORS):
-            hi = lo + _GA_GENERATORS
-            out[lo:hi] = _ga_batch(m, rngs[lo:hi], count)
+    if subgroup == "ga" and rngs:  # no generators give an empty batch below
+        out = _ga_batch(m, rngs, count)
     else:
+        out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
         for f, g in enumerate(rngs):
             seen = set()  # row bytes kept; a repeat leaves its slot to the next draw
             while len(seen) < count:

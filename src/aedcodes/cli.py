@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="send the all-zero message instead of random data")
     sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="worker processes, at most one per CPU and per "
-                          "256-frame chunk; results are invariant to this")
+                          "chunk (256 frames, min(256, 512 // M) for an "
+                          "ensemble of M); results are invariant to this")
     sim.add_argument("--manifest-out", default=None, metavar="PATH",
                      help="where to write the run manifest (default <stem>.manifest.json)")
     sim.add_argument("--from-manifest", default=None, metavar="PATH",

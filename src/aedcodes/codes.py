@@ -316,17 +316,21 @@ def _codebook_chunks(spec: CodeSpec):
 
 def read_frozen_file(path) -> CodeSpec:
     """Load a frozen set from text: line 1 "m=<int>", line 2 an N-char
-    string of '0' (info) / '1' (frozen) in index order."""
+    string of '0' (info) / '1' (frozen) in index order.  CodeSpec checks m
+    and the length, so a bad m is refused before 2**m is formed."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("m="):
         raise ValueError(f"{path}: expected 'm=<int>' then an indicator line")
     m = int(lines[0][2:])
     pattern = lines[1]
-    if len(pattern) != (1 << m) or set(pattern) - {"0", "1"}:
-        raise ValueError(f"{path}: indicator line must be {1 << m} chars of 0/1")
+    if set(pattern) - {"0", "1"}:
+        raise ValueError(f"{path}: indicator line must be chars of 0/1")
     frozen = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("1")
-    return polar_code(m, frozen)
+    try:
+        return polar_code(m, frozen)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_frozen_file(path, spec: CodeSpec) -> None:

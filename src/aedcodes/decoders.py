@@ -21,6 +21,9 @@ metric needs every leaf LLR, frozen or not.
 
 Decoders are deterministic pure functions; batched kernels process rows
 independently, so per-row results never depend on how calls are batched.
+No kernel splits its rows: a call's workspaces hold all of them, and
+run_mc bounds the rows per call (simulation.CHUNK_ROWS).  BP compacts its
+workspace in each iteration where rows converge.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 from .codes import CodeSpec, polar_transform
 
 L_MAX = 40.0  # saturation magnitude standing in for certain (infinite) LLRs
-_BP_ROW_SLAB = 2048  # cache-friendly upper bound on rows per BP workspace
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +372,17 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     converged False.
 
     Messages are stored batch-last as (stage, N, B) so every update runs on
-    contiguous batch-length runs.  Rows are dropped from the working set
-    once converged (their outputs are frozen at the converging iteration),
-    so mixed-difficulty batches only pay for the rows still running.
+    contiguous batch-length runs.  In every iteration where rows converge,
+    their outputs are frozen and the workspace is compacted to the rows
+    still running, so mixed-difficulty batches only pay for those.  The
+    workspace holds all B rows at first; run_mc bounds the rows of a call
+    (simulation.CHUNK_ROWS).
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     llrs = np.asarray(llrs)
     _check_rows(spec, llrs)
     bsz, n = llrs.shape
-    if bsz > _BP_ROW_SLAB:
-        parts = [bp_decode_batch(spec, llrs[lo:lo + _BP_ROW_SLAB], max_iters,
-                                 stopping, dtype)
-                 for lo in range(0, bsz, _BP_ROW_SLAB)]
-        return tuple(np.concatenate(field) for field in zip(*parts))
     m = spec.m
     frozen = spec.frozen
     u_out = np.zeros((bsz, n), np.uint8)
@@ -404,8 +403,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
         u_hd[:, frozen] = False
         return u_hd, (((lmsg[m] + rmsg[m]) < 0).T).astype(np.uint8)
 
-    active = np.arange(bsz)
-    alive = np.ones(bsz, dtype=bool)  # rows of the workspace still running
+    active = np.arange(bsz)  # the caller's row of each workspace column
     for it in range(1, max_iters + 1):
         for s in range(m - 1, -1, -1):
             nxt = view(lmsg[s + 1], s)
@@ -426,27 +424,20 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
         if not stopping:
             continue
         u_hd, x_hd = hard_decisions()
-        hit = np.flatnonzero(alive & np.all(polar_transform(u_hd) == x_hd, axis=1))
-        if hit.size:
+        hit = np.all(polar_transform(u_hd) == x_hd, axis=1)
+        if hit.any():
             done = active[hit]
             u_out[done] = u_hd[hit]
             x_out[done] = x_hd[hit]
             iters_out[done] = it
             conv_out[done] = True
-            alive[hit] = False
-            live = int(np.count_nonzero(alive))
-            if live == 0:
+            running = ~hit
+            active = active[running]
+            if not active.size:
                 return u_out, x_out, iters_out, conv_out
-            # compact lazily: the workspace copy is expensive, so finished
-            # rows ride along until they are a sizeable fraction
-            if alive.size - live >= max(64, alive.size // 4):
-                active = active[alive]
-                lmsg = np.ascontiguousarray(lmsg[:, :, alive])
-                rmsg = np.ascontiguousarray(rmsg[:, :, alive])
-                alive = np.ones(live, dtype=bool)
-    if alive.any():
-        u_hd, x_hd = hard_decisions()
-        rest = active[alive]
-        u_out[rest] = u_hd[alive]
-        x_out[rest] = x_hd[alive]
+            # one copy into C order; lmsg[:, :, running] would come out
+            # strided and need a second one
+            lmsg = lmsg.compress(running, axis=2)
+            rmsg = rmsg.compress(running, axis=2)
+    u_out[active], x_out[active] = hard_decisions()
     return u_out, x_out, iters_out, conv_out

@@ -38,7 +38,12 @@ from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
 from .ensemble import (EnsembleConfig, check_seed, decode_branches,
                        select_winners)
 
-BATCH_FRAMES = 256  # fixed evaluation granularity; results are independent of it
+# The one bound on the kernels' working set: a chunk holds
+# min(BATCH_FRAMES, max(1, CHUNK_ROWS // M)) frames of an ensemble of M
+# branches (M = 1 for a plain decoder; SCL list paths are not counted).
+# Results are independent of both constants.
+BATCH_FRAMES = 256
+CHUNK_ROWS = 512
 # Frame budget of a run given only an error target: 100 errors at BLER 1e-4.
 # A point that does not reach its target by then stops there, and its record
 # says so (SimRecord.stopped_by == "cap"); pass a frame budget to go further.
@@ -359,14 +364,17 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         raise ValueError("cannot simulate a dimension-0 code")
     budget = frames if frames is not None else MAX_FRAMES
     target = target_errors if target_errors else None
-    workers = min(workers, os.cpu_count() or 1, -(-budget // BATCH_FRAMES))
     t0 = time.perf_counter()
+    step = BATCH_FRAMES  # frames per chunk
     tables = None
     if isinstance(decoder, EnsembleConfig):
         decoder.check_drawable(spec.m)  # a resampled one draws only in the chunks
+        # int(): an np.integer size would make the frame indices np.integer
+        step = min(BATCH_FRAMES, max(1, CHUNK_ROWS // int(decoder.size)))
         if not decoder.resample_per_frame:
             # a fixed ensemble is drawn and compiled once, for every chunk
             tables = compile_tables(decoder.sample_automorphisms(spec.m))
+    workers = min(workers, os.cpu_count() or 1, -(-budget // step))
 
     tot = {"frames": 0, "blk": 0, "bits": 0, "iters": 0.0, "runs": 0,
            "stopped_by": "frames" if frames is not None else "cap"}
@@ -392,7 +400,7 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     if workers <= 1:
         lo = 0
         while lo < budget:
-            hi = min(lo + BATCH_FRAMES, budget)
+            hi = min(lo + step, budget)
             if consume(_eval_chunk(spec, decoder, ch, lo, hi, all_zero, tables)):
                 break
             lo = hi
@@ -404,13 +412,13 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
             stopped = False
             while next_take < budget and not stopped:
                 while next_submit < budget and len(pending) < workers + 2:
-                    hi = min(next_submit + BATCH_FRAMES, budget)
+                    hi = min(next_submit + step, budget)
                     pending[next_submit] = pool.submit(
                         _eval_chunk, spec, decoder, ch, next_submit, hi, all_zero,
                         tables)
                     next_submit = hi
                 stopped = consume(pending.pop(next_take).result())
-                next_take = min(next_take + BATCH_FRAMES, budget)
+                next_take = min(next_take + step, budget)
             for fut in pending.values():
                 fut.cancel()
 

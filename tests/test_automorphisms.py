@@ -318,14 +318,15 @@ def test_sample_ensemble_over_generators_equals_scalar_loop(m, subgroup):
 
 
 def test_sample_ensemble_over_more_generators_than_one_rank_test():
-    """More generators than one rank test takes (_GA_GENERATORS) give the
-    draws and final states of one generator at a time."""
-    frames = automorphisms._GA_GENERATORS + 6
+    """Many generators, rank-tested in one call, give the draws and final
+    states of one generator at a time; no generators give an empty batch."""
+    frames = 70
     new = [np.random.default_rng([7, s]) for s in range(frames)]
     ref = [np.random.default_rng([7, s]) for s in range(frames)]
     got = sample_ensemble(4, "ga", 3, new)
     assert got == [a for g in ref for a in sample_ensemble(4, "ga", 3, g)]
     assert [g.bit_generator.state for g in new] == [g.bit_generator.state for g in ref]
+    assert len(sample_ensemble(4, "ga", 3, [])) == 0
 
 
 def test_batch_indexes_iterates_and_compares_as_automorphisms():

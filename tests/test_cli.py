@@ -57,6 +57,17 @@ def test_code_info_usage_errors(capsys):
     assert run_cli(capsys, "code-info", "--frozen-file", "/nonexistent")[0] == 1
 
 
+@pytest.mark.parametrize("m", ["100000000000000000000", "-1"])
+def test_code_info_frozen_file_bad_m(tmp_path, capsys, m):
+    """A frozen file's m outside [0, M_MAX] is a usage error naming m, not an
+    OverflowError or a negative shift count."""
+    path = tmp_path / "bad.frozen"
+    path.write_text(f"m={m}\n0101\n")
+    code, out, err = run_cli(capsys, "code-info", "--frozen-file", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {path}: m={m} outside [0, 20]"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -405,3 +405,8 @@ def test_frozen_file_malformed(tmp_path):
     path.write_text("hello\n")
     with pytest.raises(ValueError):
         read_frozen_file(path)
+    # m is checked before 2**m is formed: no OverflowError, no negative shift
+    for m in ("100000000000000000000", "-1"):
+        path.write_text(f"m={m}\n0101\n")
+        with pytest.raises(ValueError, match=f"m={m} outside"):
+            read_frozen_file(path)

@@ -283,7 +283,7 @@ def test_bp_parameter_errors():
         bp_decode_batch(rm_code(1, 3), np.zeros((1, 8)), 0, True)
     with pytest.raises(ValueError, match="N=8"):
         bp_decode_batch(rm_code(1, 3), np.zeros((1, 4)), 5, True)
-    # more rows than one BP workspace holds, which the kernel splits
+    # the parameters are checked before any workspace is sized for the rows
     with pytest.raises(ValueError, match="max_iters must be >= 1, got 0"):
         bp_decode_batch(rm_code(1, 3), np.zeros((3000, 8)), 0, True)
 

@@ -494,6 +494,78 @@ def test_run_mc_stops_at_the_frame_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# chunk rule: a chunk holds min(BATCH_FRAMES, max(1, CHUNK_ROWS // M)) frames
+
+def _counts(rec):
+    return rec.frames, rec.block_errors, rec.bit_errors, rec.avg_iterations, rec.stopped_by
+
+
+def _spy_chunks(monkeypatch) -> list:
+    """Record the (lo, hi) of every _eval_chunk call that run_mc makes."""
+    chunks = []
+    orig = simulation._eval_chunk
+
+    def spy(spec, decoder, ch, lo, hi, *rest):
+        chunks.append((lo, hi))
+        return orig(spec, decoder, ch, lo, hi, *rest)
+
+    monkeypatch.setattr(simulation, "_eval_chunk", spy)
+    return chunks
+
+
+def test_run_mc_chunks_hold_at_most_chunk_rows_branch_rows(monkeypatch):
+    """A resampled Aut-32 run of 256 frames hands the kernels at most
+    CHUNK_ROWS branch rows per chunk, and its chunks cover frames 0..255 in
+    order."""
+    chunks = _spy_chunks(monkeypatch)
+    spec = rm_code(2, 5)
+    cfg = EnsembleConfig(32, "ga", Sc(), resample_per_frame=True, seed=4)
+    rec = run_mc(spec, cfg, ChannelConfig(2.0, spec.rate, seed=4), frames=256,
+                 target_errors=None)
+    assert rec.frames == 256 and len(chunks) > 1
+    assert all(32 * (hi - lo) <= simulation.CHUNK_ROWS for lo, hi in chunks)
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == 256
+
+
+@pytest.mark.parametrize("decoder", [Sc(), Scl(4)], ids=["sc", "scl4"])
+def test_run_mc_plain_decoders_take_full_chunks(monkeypatch, decoder):
+    """A plain decoder counts one row per frame, SCL's list paths included,
+    so it decodes BATCH_FRAMES frames per chunk."""
+    chunks = _spy_chunks(monkeypatch)
+    spec = rm_code(2, 5)
+    run_mc(spec, decoder, ChannelConfig(2.0, spec.rate, seed=4), frames=600,
+           target_errors=None)
+    assert chunks == [(0, 256), (256, 512), (512, 600)]
+
+
+def test_run_mc_numpy_integer_ensemble_size():
+    """An np.int64 size, which EnsembleConfig accepts, runs the same chunks
+    as the int: frame indices stay Python ints."""
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(2.0, spec.rate, seed=6)
+    frames = 3 * simulation.CHUNK_ROWS // 32 + 5  # four chunks
+    recs = [run_mc(spec, EnsembleConfig(size, "ga", Sc(), resample_per_frame=True,
+                                        seed=6), ch, frames=frames, target_errors=None)
+            for size in (np.int64(32), 32)]
+    assert _counts(recs[0]) == _counts(recs[1])
+
+
+def test_run_mc_resampled_bp_ensemble_is_worker_invariant():
+    """A resampled Aut-8-BP run reaching its error target inside a chunk
+    gives the same record at one and at two workers."""
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(1.0, spec.rate, seed=8)
+    cfg = EnsembleConfig(8, "ga", Bp(20, True), resample_per_frame=True, seed=8)
+    step = simulation.CHUNK_ROWS // 8
+    recs = [run_mc(spec, cfg, ch, frames=4 * step, target_errors=40, workers=w)
+            for w in (1, 2)]
+    assert recs[0].stopped_by == "target" and recs[0].block_errors == 40
+    assert recs[0].frames > step and recs[0].frames % step
+    assert _counts(recs[0]) == _counts(recs[1])
+
+
+# ---------------------------------------------------------------------------
 # result rows
 
 def test_decoder_descriptors():
