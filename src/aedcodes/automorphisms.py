@@ -268,29 +268,33 @@ def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphis
 
 
 def sample_ensemble(m: int, subgroup: str, count: int,
-                    rng: np.random.Generator | Iterable[np.random.Generator]
-                    ) -> AutomorphismBatch:
+                    rng: np.random.Generator | list[dict]) -> AutomorphismBatch:
     """Sample `count` pairwise-distinct automorphisms as a batch: the result
     and the final generator state are those of one-by-one sample() calls
     that drop a draw whose row (m row bitmasks, then b) equals an earlier
     one, until `count` are kept.  Distinct pairs (A, b) compile to distinct
     index tables.  No AffineAutomorphism is built.
 
-    `rng` is a Generator, or a sequence of them (the frames of a chunk):
-    then the batch holds the ensemble of each generator in turn, each drawn
-    as if alone, and the "ga" draws of all of them are rank-tested in one
-    call (_ga_batch), whose transient arrays grow with the number of
-    automorphisms drawn; run_mc bounds that by simulation.CHUNK_ROWS."""
+    `rng` is a Generator, or a list of PCG64 `bit_generator.state`s (the
+    frames of a chunk): then the batch holds the ensemble of each state in
+    turn, as a Generator in that state alone draws it.  One generator, `rng`
+    or a scratch one, is loaded with each state in turn.  The "ga" draws of
+    all states are rank-tested in one call (_ga_batch), whose transient
+    arrays grow with the number of automorphisms drawn; run_mc bounds that
+    by simulation.CHUNK_ROWS."""
     check_ensemble(m, subgroup, count)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if subgroup == "ga" and rngs:  # no generators give an empty batch below
-        out = _ga_batch(m, rngs, count)
+    single = isinstance(rng, np.random.Generator)
+    gen = rng if single else np.random.Generator(np.random.PCG64(0))
+    states = [rng.bit_generator.state] if single else list(rng)
+    if subgroup == "ga" and states:  # no states give an empty batch below
+        out = _ga_batch(m, gen, states, count)
     else:
-        out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
-        for f, g in enumerate(rngs):
+        out = np.empty((len(states), count, m + 1), dtype=np.int64)
+        for f, state in enumerate(states):
+            gen.bit_generator.state = state
             seen = set()  # row bytes kept; a repeat leaves its slot to the next draw
             while len(seen) < count:
-                out[f, len(seen)] = _scalar_draw(m, subgroup, g)
+                out[f, len(seen)] = _scalar_draw(m, subgroup, gen)
                 seen.add(out[f, len(seen)].tobytes())
     return AutomorphismBatch(out[..., :m].reshape(-1, m), out[..., m].reshape(-1))
 
@@ -322,31 +326,33 @@ def check_ensemble(m: int, subgroup: str, count: int) -> None:
                          f"{subgroup}({m}) of order {group_order(subgroup, m)}")
 
 
-def _ga_batch(m: int, rngs: list[np.random.Generator], count: int) -> np.ndarray:
-    """`count` uniform "ga" automorphisms from each generator of `rngs` by
-    rejection, as a (len(rngs), count, m + 1) int64 array of the drawn
-    values (m row bitmasks, then b); each generator is left just past the
-    values its automorphisms used.  An automorphism whose row bytes equal
-    those of one kept from the same generator is dropped, and the walk goes
-    on.
+def _ga_batch(m: int, gen: np.random.Generator, states: list[dict],
+              count: int) -> np.ndarray:
+    """`count` uniform "ga" automorphisms from each of `states` by rejection,
+    as a (len(states), count, m + 1) int64 array of the values (m row
+    bitmasks, then b) that `gen` draws loaded with each state; `gen` is left
+    just past the values of the last state's automorphisms.  An
+    automorphism whose row bytes equal those of one kept from the same
+    state is dropped, and the walk goes on.
 
     Each draw takes m row values, redrawn while they are singular, and then
     b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
     word of the generator, so one bulk draw gives the same values as
     drawing them one matrix at a time.  Every m-value window of every
-    generator's draw is rank-tested in one call; the walk then skips m
-    values for a singular window and takes m + 1 (rows, then b) for an
-    invertible one.  A draw, sized for about 1.5 `count` automorphisms, is
-    extended by as much whenever it runs out; then the generator is rewound
-    and redraws only the values used, and the taken windows come out of the
-    draw in one gather."""
+    state's draw is rank-tested in one call; the walk then skips m values
+    for a singular window and takes m + 1 (rows, then b) for an invertible
+    one.  A draw, sized for about 1.5 `count` automorphisms, is drawn again
+    from its state twice as long (the old draw its prefix) whenever its
+    walk runs out; the taken windows come out of the draw in one gather."""
+    def draw(state: dict, size: int) -> np.ndarray:
+        gen.bit_generator.state = state
+        return gen.integers(0, 1 << m, size=size, dtype=np.int64)
     p = group_order("ga", m) / (1 << (m * m + m))  # a uniform matrix is invertible
     chunk = int(1.5 * count * (m / p + 1)) + 2 * m + 2
-    states = [g.bit_generator.state for g in rngs]
-    drawn = np.stack([g.integers(0, 1 << m, size=chunk, dtype=np.int64) for g in rngs])
+    drawn = np.stack([draw(state, chunk) for state in states])
     tested = full_rank_windows(drawn, m)
-    out = np.empty((len(rngs), count, m + 1), dtype=np.int64)
-    for f, g in enumerate(rngs):
+    out = np.empty((len(states), count, m + 1), dtype=np.int64)
+    for f, state in enumerate(states):
         vals, ok = drawn[f], tested[f].tobytes()  # ok[s]: vals[s:s+m] is invertible
         raw = vals.tobytes()  # the row of the window at s is raw[8 s:8 (s + m + 1)]
         starts: list[int] = []
@@ -354,10 +360,8 @@ def _ga_batch(m: int, rngs: list[np.random.Generator], count: int) -> np.ndarray
         pos = 0
         while len(starts) < count:
             if pos + m >= vals.size:  # the window at pos or its b not drawn yet
-                more = g.integers(0, 1 << m, size=chunk, dtype=np.int64)
-                vals = np.concatenate([vals, more])
-                ok += full_rank_windows(vals[len(ok):], m).tobytes()
-                raw += more.tobytes()
+                vals = draw(state, 2 * vals.size)
+                ok, raw = full_rank_windows(vals, m).tobytes(), vals.tobytes()
             elif not ok[pos]:
                 pos += m
             else:
@@ -366,9 +370,8 @@ def _ga_batch(m: int, rngs: list[np.random.Generator], count: int) -> np.ndarray
                     seen.add(key)
                     starts.append(pos)
                 pos += m + 1
-        g.bit_generator.state = states[f]
-        g.integers(0, 1 << m, size=pos, dtype=np.int64)
         out[f] = vals[np.array(starts)[:, None] + np.arange(m + 1)]
+    draw(states[-1], pos)
     return out
 
 

@@ -391,29 +391,33 @@ def cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    # factorization: recomposition of random affine maps
-    bad = 0
-    for _ in range(trials):
-        aut = sample(spec.m, "ga", rng)
-        lt, ut, pt = mlup_decompose(aut)
-        rec = compose(compose(lt, ut), pt)
-        ok = (rec.rows == aut.rows and rec.b == aut.b
-              and lt.is_lower_unitriangular and ut.is_upper_unitriangular
-              and pt.is_permutation)
-        bad += 0 if ok else 1
-    report("triangular factorization", bad == 0, f"{trials} trials, {bad} failures")
-
-    if decreasing:
-        rep = verify_lta_commutation(spec, trials, rng)
-        report("lower-triangular commutation", rep.passed,
-               f"{rep.trials} trials, {rep.failures} failures")
-        rep = verify_lta_absorption(spec, trials, rng)
-        report("lower-triangular absorption", rep.passed,
-               f"{rep.trials} trials, {rep.failures} failures")
+    if spec.m < 1:
+        for name in ("triangular factorization", "lower-triangular commutation",
+                     "lower-triangular absorption"):
+            print(f"skip {name}: no automorphisms to draw (m=0)")
     else:
-        print("skip lower-triangular commutation: out of theorem scope "
-              "(code is not a decreasing monomial code)")
-        print("skip lower-triangular absorption: out of theorem scope")
+        # factorization: recomposition of random affine maps
+        bad = 0
+        for _ in range(trials):
+            aut = sample(spec.m, "ga", rng)
+            lt, ut, pt = mlup_decompose(aut)
+            rec = compose(compose(lt, ut), pt)
+            ok = (rec.rows == aut.rows and rec.b == aut.b
+                  and lt.is_lower_unitriangular and ut.is_upper_unitriangular
+                  and pt.is_permutation)
+            bad += 0 if ok else 1
+        report("triangular factorization", bad == 0, f"{trials} trials, {bad} failures")
+        if decreasing:
+            rep = verify_lta_commutation(spec, trials, rng)
+            report("lower-triangular commutation", rep.passed,
+                   f"{rep.trials} trials, {rep.failures} failures")
+            rep = verify_lta_absorption(spec, trials, rng)
+            report("lower-triangular absorption", rep.passed,
+                   f"{rep.trials} trials, {rep.failures} failures")
+        else:
+            print("skip lower-triangular commutation: out of theorem scope "
+                  "(code is not a decreasing monomial code)")
+            print("skip lower-triangular absorption: out of theorem scope")
 
     # decoder linearity under codeword sign flips
     bad = 0

@@ -77,7 +77,8 @@ class EnsembleConfig:
     def sample_automorphisms(self, m: int, rng=None) -> AutomorphismBatch:
         """The ensemble's automorphisms for length 2**m as a batch: the fixed
         set drawn from `seed` when rng is None, else those drawn from `rng`
-        (a Generator, or one per frame; see sample_ensemble)."""
+        (a Generator, or a list of per-frame PCG64 states; see
+        sample_ensemble)."""
         if rng is None:
             rng = np.random.default_rng(self.seed)
         return sample_ensemble(m, self.subgroup, self.size, rng)

@@ -11,7 +11,8 @@ two spawned children seed `default_rng` for the message and the noise, and
 a resampled ensemble draws frame f's automorphisms from the root stream
 under its own seed.  _stream_states computes the PCG64 states of a whole
 chunk of such streams at once, reproducing numpy's hashing and seeding bit
-for bit, and the frame's draws run on one reseeded generator.  Message
+for bit; a stream is read by loading its state into a reused generator
+(sample_ensemble takes a chunk's automorphism states as a list).  Message
 bits are read from raw PCG64 words, bit-identical to
 `Generator.integers(0, 2, k, dtype=uint8)` (see _eval_chunk);
 _frame_stream and Generator.integers remain the definition and the test
@@ -268,13 +269,6 @@ def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
         lo = end
 
 
-def _generator(state: dict) -> np.random.Generator:
-    """A Generator whose PCG64 is in `state` (a bit_generator.state)."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = state
-    return rng
-
-
 def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
                 all_zero: bool, tables: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -321,12 +315,9 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
         iters_sum = iters.astype(np.float64)
     else:  # EnsembleConfig
         if decoder.resample_per_frame:
-            # one sampler call on a generator per frame, and one compile,
-            # for the automorphisms of every frame of the chunk; the
-            # generators (about 4 KB each) are gone before the decode
-            rngs = (_generator(state)
-                    for (state,) in _stream_states(decoder.seed, lo, hi))
-            tables = compile_tables(decoder.sample_automorphisms(spec.m, rngs))
+            # one sampler call and one compile for every frame of the chunk
+            states = [state for (state,) in _stream_states(decoder.seed, lo, hi)]
+            tables = compile_tables(decoder.sample_automorphisms(spec.m, states))
             tables = tables.reshape(fsz, decoder.size, n)
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,

@@ -69,6 +69,16 @@ def sample_ensemble_scalar(m, subgroup, count, rng):
     return out
 
 
+def plain_state(rng):
+    """A generator's bit_generator.state with arrays (MT19937's key) as
+    lists, so that states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return np.asarray(value).tolist()
+    return plain(rng.bit_generator.state)
+
+
 def ensemble_counts(subgroup, m):
     order = group_order(subgroup, m)
     return sorted({1, 2, 7, 32} | ({order} if order <= 64 else set()))
@@ -286,47 +296,57 @@ def test_sample_ensemble_dedupes():
 @pytest.mark.parametrize("m", range(1, 11))
 def test_sample_ensemble_equals_scalar_loop(m, subgroup):
     """Same automorphisms, in the same order, and the same generator state
-    afterwards as the one-by-one loop; one generator serves every call."""
-    new, ref = np.random.default_rng(m), np.random.default_rng(m)
-    for count in ensemble_counts(subgroup, m):
-        if count > group_order(subgroup, m):
-            continue
-        got = sample_ensemble(m, subgroup, count, new)
-        want = sample_ensemble_scalar(m, subgroup, count, ref)
-        assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for a in want]
-        assert new.bit_generator.state == ref.bit_generator.state
+    afterwards as the one-by-one loop; one generator serves every call, on
+    PCG64 (default_rng) and on any other bit generator."""
+    for bitgen in (np.random.PCG64, np.random.MT19937):
+        new, ref = np.random.Generator(bitgen(m)), np.random.Generator(bitgen(m))
+        for count in ensemble_counts(subgroup, m):
+            if count > group_order(subgroup, m):
+                continue
+            got = sample_ensemble(m, subgroup, count, new)
+            want = sample_ensemble_scalar(m, subgroup, count, ref)
+            assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for a in want]
+            assert plain_state(new) == plain_state(ref)
+
+
+def states_of(*seeds):
+    """The PCG64 state of default_rng(seed) for every seed."""
+    return [np.random.default_rng(seed).bit_generator.state for seed in seeds]
 
 
 @pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_sample_ensemble_over_generators_equals_scalar_loop(m, subgroup):
-    """A sequence of generators (a chunk's frames) gives each generator's
-    own ensemble in turn, as the one-by-one loop draws it from that
-    generator alone, and leaves every generator in the loop's state."""
+    """A list of generator states (a chunk's frames) gives each state's own
+    ensemble in turn, as the one-by-one loop draws it from a generator in
+    that state alone; a state given twice gives its ensemble twice, and the
+    list is left as it was."""
     for count in (1, 2, 7):
         if count > group_order(subgroup, m):
             continue
-        new = [np.random.default_rng([m, count, s]) for s in range(5)]
-        ref = [np.random.default_rng([m, count, s]) for s in range(5)]
-        got = sample_ensemble(m, subgroup, count, new)
-        want = [sample_ensemble_scalar(m, subgroup, count, g) for g in ref]
-        assert got.rows.shape == (5 * count, m) and got.b.shape == (5 * count,)
+        seeds = [[m, count, s] for s in (0, 1, 2, 3, 4, 1)]
+        states = states_of(*seeds)
+        got = sample_ensemble(m, subgroup, count, states)
+        want = [sample_ensemble_scalar(m, subgroup, count, np.random.default_rng(seed))
+                for seed in seeds]
+        assert got.rows.shape == (6 * count, m) and got.b.shape == (6 * count,)
         assert [(a.rows, a.b) for a in got] == [(a.rows, a.b) for w in want
                                                 for a in w]
-        assert ([g.bit_generator.state for g in new]
-                == [g.bit_generator.state for g in ref])
+        assert list(got)[count:2 * count] == list(got)[5 * count:]
+        assert states == states_of(*seeds)
 
 
 def test_sample_ensemble_over_more_generators_than_one_rank_test():
-    """Many generators, rank-tested in one call, give the draws and final
-    states of one generator at a time; no generators give an empty batch."""
-    frames = 70
-    new = [np.random.default_rng([7, s]) for s in range(frames)]
-    ref = [np.random.default_rng([7, s]) for s in range(frames)]
-    got = sample_ensemble(4, "ga", 3, new)
-    assert got == [a for g in ref for a in sample_ensemble(4, "ga", 3, g)]
-    assert [g.bit_generator.state for g in new] == [g.bit_generator.state for g in ref]
+    """Many generator states, rank-tested in one call, give the draws of
+    one generator at a time; no states give an empty batch, and a list of
+    Generators is refused."""
+    seeds = [[7, s] for s in range(70)]
+    got = sample_ensemble(4, "ga", 3, states_of(*seeds))
+    assert got == [a for seed in seeds
+                   for a in sample_ensemble(4, "ga", 3, np.random.default_rng(seed))]
     assert len(sample_ensemble(4, "ga", 3, [])) == 0
+    with pytest.raises(TypeError, match="state must be a dict"):
+        sample_ensemble(4, "ga", 3, [np.random.default_rng(1)])
 
 
 def test_batch_indexes_iterates_and_compares_as_automorphisms():
@@ -377,27 +397,30 @@ class CountingGenerator(np.random.Generator):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_ga_batch_across_draw_extensions(m):
     """Batches of 1, 2 and 12 (rows, then b, per row of the array; at most
-    the group's order), each followed by a single sample(m, "ga"), on one
-    generator: whenever a batch runs past its first bulk draw, the walk
-    extends it and rank-test windows straddle the join.  Each call
-    makes one bulk draw and one final redraw unless it extends; some trials
-    must extend, and every call must still give the scalar loop's draws and
-    final generator state."""
+    the group's order) for three states, two fresh ones and last the state
+    of one generator that also draws a single sample(m, "ga") after each
+    batch: whenever a state's walk runs past its first bulk draw, that
+    state is drawn again, twice as long, and rank-test windows straddle the
+    old end.  Each call makes one bulk draw per state and one final redraw
+    unless it extends; some trials must extend, and every call must still
+    give the scalar loop's draws for every state and leave the generator
+    in the loop's final state."""
     new = CountingGenerator(np.random.PCG64(30 + m))
     ref = np.random.default_rng(30 + m)
     extended = 0
     for trial in range(300):
         n = min((1, 2, 12)[trial % 3], group_order("ga", m))
+        fresh = [np.random.default_rng([m, trial, s]) for s in range(2)]
+        states = [g.bit_generator.state for g in fresh] + [new.bit_generator.state]
         before = new.calls
-        got = automorphisms._ga_batch(m, [new], n)
-        assert got.shape == (1, n, m + 1) and got.dtype == np.int64
-        got = got[0]
-        assert got.tolist() == [[*a.rows, a.b] for a in
-                                sample_ensemble_scalar(m, "ga", n, ref)]
+        got = automorphisms._ga_batch(m, new, states, n)
+        assert got.shape == (3, n, m + 1) and got.dtype == np.int64
+        want = [sample_ensemble_scalar(m, "ga", n, g) for g in [*fresh, ref]]
+        assert got.tolist() == [[[*a.rows, a.b] for a in w] for w in want]
         assert new.bit_generator.state == ref.bit_generator.state
         assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
         assert new.bit_generator.state == ref.bit_generator.state
-        extended += new.calls - before > 4
+        extended += new.calls - before > len(states) + 3
     assert extended > 0
 
 

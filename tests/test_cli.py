@@ -343,6 +343,27 @@ def test_verify_non_decreasing_reports_scope(tmp_path, capsys):
     assert "out of theorem scope" in out
 
 
+@pytest.mark.parametrize("frozen", [None, [True]], ids=["rm00", "k0"])
+def test_verify_m0_skips_the_automorphism_checks(tmp_path, capsys, frozen):
+    """At m = 0 there is no automorphism to draw: the factorization,
+    commutation and absorption checks are skipped, decoder linearity runs
+    and passes, on RM(0,0) and on the k = 0 code of length 1."""
+    if frozen is None:
+        argv = ["--rm", "0,0"]
+    else:
+        from aedcodes import polar_code
+        path = tmp_path / "k0.frozen"
+        write_frozen_file(path, polar_code(0, np.array(frozen)))
+        argv = ["--frozen-file", str(path)]
+    code, out, err = run_cli(capsys, "verify", *argv, "--trials", "3")
+    assert code == 0 and err == ""
+    for name in ("triangular factorization", "lower-triangular commutation",
+                 "lower-triangular absorption"):
+        assert f"skip {name}: no automorphisms to draw (m=0)" in out
+    assert "ok   decoder linearity: 3 trials, 0 failures" in out
+    assert out.endswith("verification: PASS\n")
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "aedcodes.cli", "code-info",
                            "--rm", "1,3"], capture_output=True, text=True)

@@ -327,9 +327,10 @@ def _spy_chunk(monkeypatch, spec, decoder, ch, lo, hi, all_zero=False) -> dict:
         seen["llrs"], seen["tables"] = llrs.copy(), tables.copy()
         return decode_branches(spec, llrs, tables, *args, **kwargs)
 
-    monkeypatch.setattr(simulation, "encode", spy_encode)
-    monkeypatch.setattr(simulation, "decode_branches", spy_decode)
-    _eval_chunk(spec, decoder, ch, lo, hi, all_zero)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulation, "encode", spy_encode)
+        patch.setattr(simulation, "decode_branches", spy_decode)
+        _eval_chunk(spec, decoder, ch, lo, hi, all_zero)
     return seen
 
 
@@ -348,12 +349,10 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
                                                    lo, hi, all_zero):
     """Messages, noise and resampled automorphisms of every frame equal the
     draws of default_rng on the frame's SeedSequence streams, looped frame
-    by frame; the automorphisms are those of the reference sampler."""
+    by frame; the automorphisms are those of the reference sampler, for
+    every subgroup."""
     spec = rm_code(2, 4)
     ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
-    cfg = EnsembleConfig(3, "ga", Sc(), resample_per_frame=True, seed=ens_seed)
-    seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
-
     msgs, llrs = [], []
     for f in range(lo, hi):
         msg = _seedsequence_message(spec, ch_seed, f, all_zero)
@@ -362,9 +361,12 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
             0.0, ch.sigma, spec.n)
         msgs.append(msg)
         llrs.append(saturate(2.0 * y / ch.sigma ** 2))
-    assert np.array_equal(seen["msgs"], np.array(msgs))
-    assert np.array_equal(seen["llrs"], np.array(llrs))
-    assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
+    for subgroup in ("ga", "lta", "uta", "pi"):
+        cfg = EnsembleConfig(3, subgroup, Sc(), resample_per_frame=True, seed=ens_seed)
+        seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
+        assert np.array_equal(seen["msgs"], np.array(msgs))
+        assert np.array_equal(seen["llrs"], np.array(llrs))
+        assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
 
 
 @pytest.mark.parametrize("r,m,size,subgroup,lo,hi", [
