@@ -259,9 +259,8 @@ def sample(m: int, subgroup: str, rng: np.random.Generator) -> AffineAutomorphis
     """Uniform sample from the requested subgroup: the one-element
     sample_ensemble.
 
-    "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large m;
-    see _ga_batch),
-    "lta"/"uta" draw the strictly sub/super-diagonal bits and the offset
+    "ga" uses rejection on uniform matrices (acceptance ~ 0.289 for large
+    m), "lta"/"uta" draw the strictly sub/super-diagonal bits and the offset
     uniformly, "pi" draws a uniform permutation matrix with b = 0.
     """
     return sample_ensemble(m, subgroup, 1, rng)[0]
@@ -278,39 +277,84 @@ def sample_ensemble(m: int, subgroup: str, count: int,
     `rng` is a Generator, or a list of PCG64 `bit_generator.state`s (the
     frames of a chunk): then the batch holds the ensemble of each state in
     turn, as a Generator in that state alone draws it.  One generator, `rng`
-    or a scratch one, is loaded with each state in turn.  The "ga" draws of
-    all states are rank-tested in one call (_ga_batch), whose transient
-    arrays grow with the number of automorphisms drawn; run_mc bounds that
-    by simulation.CHUNK_ROWS."""
+    or a scratch one, is loaded with each state in turn.
+
+    Every subgroup takes one path.  Each state's value stream (_reader) is
+    read in bulk, for about 1.5 `count` draws, and the "ga" windows of all
+    states are rank-tested in one call (run_mc bounds the arrays by
+    simulation.CHUNK_ROWS).  Each walk then skips the m values of a singular
+    "ga" window, as rejection redraws them, and takes m + 1 (rows, then b)
+    for any other draw, kept unless they repeat a kept draw's.  A walk that
+    runs out reads its state again, twice as long (the old values its
+    prefix).  A Generator `rng` is read once more, just past the values used."""
     check_ensemble(m, subgroup, count)
     single = isinstance(rng, np.random.Generator)
     gen = rng if single else np.random.Generator(np.random.PCG64(0))
     states = [rng.bit_generator.state] if single else list(rng)
-    if subgroup == "ga" and states:  # no states give an empty batch below
-        out = _ga_batch(m, gen, states, count)
-    else:
-        out = np.empty((len(states), count, m + 1), dtype=np.int64)
-        for f, state in enumerate(states):
-            gen.bit_generator.state = state
-            seen = set()  # row bytes kept; a repeat leaves its slot to the next draw
-            while len(seen) < count:
-                out[f, len(seen)] = _scalar_draw(m, subgroup, gen)
-                seen.add(out[f, len(seen)].tobytes())
+    read = _reader(m, subgroup, gen)
+    ga = subgroup == "ga"  # only a "ga" window can be singular
+    p = group_order("ga", m) / (1 << (m * m + m)) if ga else 1.0  # P(window is a draw)
+
+    def is_draw(vals):  # is_draw(vals)[..., s]: vals[..., s:s+m] are a draw's rows
+        return full_rank_windows(vals, m) if ga else np.ones_like(vals, dtype=bool)
+    chunk = int(1.5 * count * (m / p + 1)) + 2 * m + 2
+    drawn = np.array([read(state, chunk) for state in states])  # no states: (0,)
+    flags = is_draw(drawn)
+    out = np.empty((len(states), count, m + 1), dtype=np.int64)
+    for f, state in enumerate(states):
+        vals, ok = drawn[f], flags[f].tobytes()
+        raw = vals.tobytes()  # the row of the window at s is raw[8 s:8 (s + m + 1)]
+        starts: list[int] = []
+        seen: set[bytes] = set()
+        pos = 0
+        while len(starts) < count:
+            if pos + m >= vals.size:  # the window at pos or its b not read yet
+                vals = read(state, 2 * vals.size)
+                ok, raw = is_draw(vals).tobytes(), vals.tobytes()
+            elif not ok[pos]:
+                pos += m
+            else:
+                key = raw[8 * pos:8 * (pos + m + 1)]
+                if key not in seen:
+                    seen.add(key)
+                    starts.append(pos)
+                pos += m + 1
+        out[f] = vals[np.array(starts)[:, None] + np.arange(m + 1)]
+    if single:  # a scratch generator's final state is never seen
+        read(states[-1], pos)
     return AutomorphismBatch(out[..., :m].reshape(-1, m), out[..., m].reshape(-1))
 
 
-def _scalar_draw(m: int, subgroup: str, rng: np.random.Generator) -> list[int]:
-    """One "lta", "uta" or "pi" draw, value by value: m row bitmasks, then b."""
-    if subgroup == "lta":
-        rows = [(1 << j) | int(rng.integers(0, 1 << j)) for j in range(m)]
-        return rows + [int(rng.integers(0, 1 << m))]
-    if subgroup == "uta":
-        rows = [(1 << j) | (int(rng.integers(0, 1 << (m - 1 - j))) << (j + 1))
-                for j in range(m)]
-        return rows + [int(rng.integers(0, 1 << m))]
-    if subgroup == "pi":
-        return [1 << int(c) for c in rng.permutation(m)] + [0]
-    raise ValueError(f"unknown subgroup {subgroup!r}")
+def _reader(m: int, subgroup: str, gen: np.random.Generator):
+    """read(state, n): the first n values of `subgroup`'s stream (for
+    "lta"/"uta"/"pi" whole draws of m rows, then b, rounded up) as `gen`
+    loaded with `state` reads them, as an int64 array.  Each value is read as
+    one-by-one sampling reads it: a "ga" value is one uniform m-bit
+    `integers` value; "lta"/"uta" read one value per row's free bits (an
+    array of bounds reads as scalar calls do; a row without free bits has
+    bound 1 and reads nothing) and one for b; "pi" reads each permutation
+    as `permutation(m)` does (`permuted` by rows) and has b = 0."""
+    j = np.arange(m, dtype=np.int64)
+    if subgroup == "ga":
+        def values(n):
+            return gen.integers(0, 1 << m, size=n, dtype=np.int64)
+    elif subgroup == "pi":
+        def values(n):
+            draws = np.zeros((-(-n // (m + 1)), m + 1), dtype=np.int64)
+            draws[:, :m] = 1 << gen.permuted(np.tile(j, (len(draws), 1)), axis=1)
+            return draws.reshape(-1)
+    else:  # row j's free bits are bits 0 .. j - 1 ("lta") or j + 1 .. m - 1
+        free, shift = (j, 0 * j) if subgroup == "lta" else (m - 1 - j, j + 1)
+        high, shift = np.append(1 << free, 1 << m), np.append(shift, 0)
+        diag = np.append(1 << j, 0)
+        def values(n):
+            draws = gen.integers(0, high, size=(-(-n // (m + 1)), m + 1))
+            return (draws << shift | diag).reshape(-1)
+
+    def read(state: dict, n: int) -> np.ndarray:
+        gen.bit_generator.state = state
+        return values(n)
+    return read
 
 
 def check_ensemble(m: int, subgroup: str, count: int) -> None:
@@ -324,55 +368,6 @@ def check_ensemble(m: int, subgroup: str, count: int) -> None:
     if count > group_order(subgroup, m):
         raise ValueError(f"cannot draw {count} distinct elements from "
                          f"{subgroup}({m}) of order {group_order(subgroup, m)}")
-
-
-def _ga_batch(m: int, gen: np.random.Generator, states: list[dict],
-              count: int) -> np.ndarray:
-    """`count` uniform "ga" automorphisms from each of `states` by rejection,
-    as a (len(states), count, m + 1) int64 array of the values (m row
-    bitmasks, then b) that `gen` draws loaded with each state; `gen` is left
-    just past the values of the last state's automorphisms.  An
-    automorphism whose row bytes equal those of one kept from the same
-    state is dropped, and the walk goes on.
-
-    Each draw takes m row values, redrawn while they are singular, and then
-    b, all uniform on [0, 2**m); each such value takes exactly one 32-bit
-    word of the generator, so one bulk draw gives the same values as
-    drawing them one matrix at a time.  Every m-value window of every
-    state's draw is rank-tested in one call; the walk then skips m values
-    for a singular window and takes m + 1 (rows, then b) for an invertible
-    one.  A draw, sized for about 1.5 `count` automorphisms, is drawn again
-    from its state twice as long (the old draw its prefix) whenever its
-    walk runs out; the taken windows come out of the draw in one gather."""
-    def draw(state: dict, size: int) -> np.ndarray:
-        gen.bit_generator.state = state
-        return gen.integers(0, 1 << m, size=size, dtype=np.int64)
-    p = group_order("ga", m) / (1 << (m * m + m))  # a uniform matrix is invertible
-    chunk = int(1.5 * count * (m / p + 1)) + 2 * m + 2
-    drawn = np.stack([draw(state, chunk) for state in states])
-    tested = full_rank_windows(drawn, m)
-    out = np.empty((len(states), count, m + 1), dtype=np.int64)
-    for f, state in enumerate(states):
-        vals, ok = drawn[f], tested[f].tobytes()  # ok[s]: vals[s:s+m] is invertible
-        raw = vals.tobytes()  # the row of the window at s is raw[8 s:8 (s + m + 1)]
-        starts: list[int] = []
-        seen: set[bytes] = set()
-        pos = 0
-        while len(starts) < count:
-            if pos + m >= vals.size:  # the window at pos or its b not drawn yet
-                vals = draw(state, 2 * vals.size)
-                ok, raw = full_rank_windows(vals, m).tobytes(), vals.tobytes()
-            elif not ok[pos]:
-                pos += m
-            else:
-                key = raw[8 * pos:8 * (pos + m + 1)]
-                if key not in seen:
-                    seen.add(key)
-                    starts.append(pos)
-                pos += m + 1
-        out[f] = vals[np.array(starts)[:, None] + np.arange(m + 1)]
-    draw(states[-1], pos)
-    return out
 
 
 def group_order(subgroup: str, m: int) -> int:

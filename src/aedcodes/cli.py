@@ -24,7 +24,8 @@ from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
 from .decoders import Bp, Sc, Scl, sc_decode_batch
 from .ensemble import (EnsembleConfig, verify_lta_absorption,
                        verify_lta_commutation)
-from .simulation import CSV_HEADER, ChannelConfig, format_csv_row, run_mc
+from .simulation import (BATCH_FRAMES, CHUNK_ROWS, CSV_HEADER, ChannelConfig,
+                         format_csv_row, run_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Monte-Carlo BLER/BER over a BI-AWGN grid, CSV to stdout")
     sim.add_argument("--decoder", choices=["sc", "scl", "bp"], default="sc")
     sim.add_argument("--list", type=int, default=None, metavar="L",
-                     help="SCL list size (scl only)")
+                     help=f"SCL list size (scl only, default {Scl.list_size})")
     sim.add_argument("--iters", type=int, default=None, metavar="I",
-                     help="BP iteration cap (bp only, default 200)")
+                     help=f"BP iteration cap (bp only, default {Bp.max_iters})")
     sim.add_argument("--no-stopping", action="store_true",
                      help="disable the BP re-encoding stopping test")
     sim.add_argument("--ensemble", type=int, default=0, metavar="M",
@@ -79,10 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="send the all-zero message instead of random data")
     sim.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                      help="worker processes, at most one per CPU and per "
-                          "chunk (256 frames, min(256, 512 // M) for an "
-                          "ensemble of M); results are invariant to this")
-    sim.add_argument("--manifest-out", default=None, metavar="PATH",
-                     help="where to write the run manifest (default <stem>.manifest.json)")
+                          f"chunk ({BATCH_FRAMES} frames, min({BATCH_FRAMES}, "
+                          f"max(1, {CHUNK_ROWS} // M)) for an ensemble of M); "
+                          "results are invariant to this")
+    sim.add_argument("--manifest-out", default="aedcodes-run.manifest.json",
+                     metavar="PATH",
+                     help="where to write the run manifest (default %(default)s)")
     sim.add_argument("--from-manifest", default=None, metavar="PATH",
                      help="re-run a previously written manifest, ignoring other flags")
     sim.add_argument("--json", action="store_true",
@@ -343,10 +346,9 @@ def cmd_simulate(args) -> int:
     spec, decoder, channels, frames, target, all_zero = _load_run(man)
     if args.from_manifest is None:
         # written only once its own replay reader has accepted it
-        path = args.manifest_out or "aedcodes-run.manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(args.manifest_out, "w", encoding="utf-8") as fh:
             json.dump(man, fh, indent=2)
-        print(f"# manifest: {path}", file=sys.stderr)
+        print(f"# manifest: {args.manifest_out}", file=sys.stderr)
 
     rows = []
     for ch in channels:

@@ -13,8 +13,8 @@ from aedcodes import (AffineAutomorphism, AutomorphismBatch, compile_tables,
                       group_order, identity_automorphism, in_code, inverse,
                       mlup_decompose, parse_automorphism, rm_code, sample,
                       sample_ensemble)
-from aedcodes.automorphisms import (full_rank_windows, mat_identity, mat_inv,
-                                    mat_mul)
+from aedcodes.automorphisms import (SUBGROUPS, full_rank_windows, mat_identity,
+                                    mat_inv, mat_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +56,28 @@ def sample_ga_scalar(m, rng):
             return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
 
 
+def sample_scalar(m, subgroup, rng):
+    """One draw, value by value: "ga" by sample_ga_scalar; "lta"/"uta" one
+    integers(0, 2**w) call for each row's w free bits, then one for b; "pi"
+    one permutation(m) call, with b = 0."""
+    if subgroup == "ga":
+        return sample_ga_scalar(m, rng)
+    if subgroup == "pi":
+        return AffineAutomorphism(m, tuple(1 << int(c) for c in rng.permutation(m)), 0)
+    if subgroup == "lta":
+        rows = tuple((1 << j) | int(rng.integers(0, 1 << j)) for j in range(m))
+    else:
+        rows = tuple((1 << j) | (int(rng.integers(0, 1 << (m - 1 - j))) << (j + 1))
+                     for j in range(m))
+    return AffineAutomorphism(m, rows, int(rng.integers(0, 1 << m)))
+
+
 def sample_ensemble_scalar(m, subgroup, count, rng):
-    """The one-by-one sampling loop; a draw whose compiled table equals an
-    earlier one's is dropped."""
+    """The one-by-one sampling loop over sample_scalar; a draw whose
+    compiled table equals an earlier one's is dropped."""
     out, seen = [], set()
     while len(out) < count:
-        aut = sample_ga_scalar(m, rng) if subgroup == "ga" else sample(m, subgroup, rng)
+        aut = sample_scalar(m, subgroup, rng)
         key = table_of(aut).tobytes()
         if key not in seen:
             seen.add(key)
@@ -290,6 +306,12 @@ def test_sample_ensemble_dedupes():
         sample_ensemble(3, "pi", 7, rng)
     with pytest.raises(ValueError, match="m must be >= 1"):
         sample_ensemble(0, "ga", 1, rng)
+    before = plain_state(rng)
+    with pytest.raises(ValueError, match="unknown subgroup 'nope'"):
+        sample(3, "nope", rng)
+    with pytest.raises(ValueError, match="unknown subgroup 'nope'"):
+        sample_ensemble(3, "nope", 1, [rng.bit_generator.state])
+    assert plain_state(rng) == before
 
 
 @pytest.mark.parametrize("subgroup", ["ga", "lta", "uta", "pi"])
@@ -373,54 +395,65 @@ def test_sample_ensemble_whole_small_groups():
 
 
 def test_sample_ensemble_pinned_draw():
-    """A literal pin: a numpy release that spends the random stream
-    differently in Generator.integers fails here rather than silently
-    changing every resampled ensemble."""
-    rng = np.random.default_rng(2024)
-    ens = sample_ensemble(8, "ga", 3, rng)
-    assert format_automorphism(ens[0]) == (
-        "m=8; A=10111100,10110101,11101000,01101100,10001010,11110010,"
-        "00010111,00110011; b=01010111")
-    assert int(rng.integers(0, 1 << 30)) == 1036085921
+    """A literal pin per subgroup: a numpy release that spends the random
+    stream differently in Generator.integers (scalar or array bounds) or
+    Generator.permuted fails here rather than silently changing every
+    resampled ensemble."""
+    pins = {
+        "ga": ("m=8; A=10111100,10110101,11101000,01101100,10001010,11110010,"
+               "00010111,00110011; b=01010111", 1036085921),
+        "lta": ("m=8; A=10000000,01000000,01100000,00010000,11001000,01010100,"
+                "11001010,00101111; b=00110011", 1058713047),
+        "uta": ("m=8; A=10111100,01110101,00101000,00011100,00001010,00000110,"
+                "00000011,00000001; b=00110011", 1058713047),
+        "pi": ("m=8; A=00010000,00100000,00000001,00000100,00001000,01000000,"
+               "00000010,10000000; b=00000000", 859202631)}
+    for subgroup, (text, after) in pins.items():
+        rng = np.random.default_rng(2024)
+        ens = sample_ensemble(8, subgroup, 3, rng)
+        assert format_automorphism(ens[0]) == text
+        assert int(rng.integers(0, 1 << 30)) == after
 
 
-class CountingGenerator(np.random.Generator):
-    """A Generator that counts its `integers` calls."""
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_ga_batch_across_draw_extensions(m, monkeypatch):
+    """For each subgroup, batches of 1, 2 and 12 (at most the group's order;
+    whole groups of "lta"/"uta" at m = 2 and "pi" at m = 3, which must
+    repeat) for three states, two fresh ones and last the state of one
+    generator, which then draws the same batch and a single sample() itself:
+    whenever a state's walk runs past its first bulk read, that state is read
+    again, twice as long, and "ga" rank-test windows straddle the old end.
+    A call on states reads once per state unless it extends; some trials
+    must extend, and every call must still give the scalar loop's draws for
+    every state and leave the generator in the loop's final state."""
+    reads = 0
 
-    calls = 0
+    def counting_reader(*args):
+        read = reader(*args)
 
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return super().integers(*args, **kwargs)
-
-
-@pytest.mark.parametrize("m", [1, 3, 8])
-def test_ga_batch_across_draw_extensions(m):
-    """Batches of 1, 2 and 12 (rows, then b, per row of the array; at most
-    the group's order) for three states, two fresh ones and last the state
-    of one generator that also draws a single sample(m, "ga") after each
-    batch: whenever a state's walk runs past its first bulk draw, that
-    state is drawn again, twice as long, and rank-test windows straddle the
-    old end.  Each call makes one bulk draw per state and one final redraw
-    unless it extends; some trials must extend, and every call must still
-    give the scalar loop's draws for every state and leave the generator
-    in the loop's final state."""
-    new = CountingGenerator(np.random.PCG64(30 + m))
-    ref = np.random.default_rng(30 + m)
+        def counted(*read_args):
+            nonlocal reads
+            reads += 1
+            return read(*read_args)
+        return counted
+    reader = automorphisms._reader
+    monkeypatch.setattr(automorphisms, "_reader", counting_reader)
     extended = 0
-    for trial in range(300):
-        n = min((1, 2, 12)[trial % 3], group_order("ga", m))
-        fresh = [np.random.default_rng([m, trial, s]) for s in range(2)]
-        states = [g.bit_generator.state for g in fresh] + [new.bit_generator.state]
-        before = new.calls
-        got = automorphisms._ga_batch(m, new, states, n)
-        assert got.shape == (3, n, m + 1) and got.dtype == np.int64
-        want = [sample_ensemble_scalar(m, "ga", n, g) for g in [*fresh, ref]]
-        assert got.tolist() == [[[*a.rows, a.b] for a in w] for w in want]
-        assert new.bit_generator.state == ref.bit_generator.state
-        assert sample(m, "ga", new) == sample_ga_scalar(m, ref)
-        assert new.bit_generator.state == ref.bit_generator.state
-        extended += new.calls - before > len(states) + 3
+    for subgroup in SUBGROUPS:
+        new, ref = np.random.default_rng(30 + m), np.random.default_rng(30 + m)
+        for trial in range(300):
+            n = min((1, 2, 12)[trial % 3], group_order(subgroup, m))
+            fresh = [np.random.default_rng([m, trial, s]) for s in range(2)]
+            states = [g.bit_generator.state for g in fresh] + [new.bit_generator.state]
+            before = reads
+            got = sample_ensemble(m, subgroup, n, states)
+            extended += reads - before > len(states)
+            want = [sample_ensemble_scalar(m, subgroup, n, g) for g in [*fresh, ref]]
+            assert got == [a for w in want for a in w]
+            assert sample_ensemble(m, subgroup, n, new) == want[-1]
+            assert new.bit_generator.state == ref.bit_generator.state
+            assert sample(m, subgroup, new) == sample_scalar(m, subgroup, ref)
+            assert new.bit_generator.state == ref.bit_generator.state
     assert extended > 0
 
 

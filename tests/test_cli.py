@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import aedcodes.simulation as simulation
-from aedcodes import rm_code, write_frozen_file
+from aedcodes import Bp, Scl, rm_code, write_frozen_file
 from aedcodes.cli import main
 from aedcodes.simulation import CSV_HEADER
 
@@ -310,6 +310,25 @@ def test_simulate_usage_errors(capsys):
     assert run_cli(capsys, "simulate", "--subgroup", "ga", *base)[0] == 1
     assert run_cli(capsys, "simulate", "--resample-per-frame", *base)[0] == 1
     assert run_cli(capsys, "simulate", "--ensemble", "-2", *base)[0] == 1
+
+
+def test_simulate_help_states_the_defaults_in_use(tmp_path, capsys, monkeypatch):
+    """--help gives the chunk rule, the manifest path and the SCL and BP
+    defaults that a run uses; a run without --manifest-out writes the
+    manifest where the help says."""
+    monkeypatch.setenv("COLUMNS", "300")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert (f"({simulation.BATCH_FRAMES} frames, min({simulation.BATCH_FRAMES}, "
+            f"max(1, {simulation.CHUNK_ROWS} // M)) for an ensemble of M)") in text
+    assert f"(scl only, default {Scl.list_size})" in text
+    assert f"(bp only, default {Bp.max_iters})" in text
+    assert "(default aedcodes-run.manifest.json)" in text
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "simulate", "--rm", "1,3", "--ebn0", "2.0:2.0:1",
+                   "--frames", "10", "--threads", "1")[0] == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["aedcodes-run.manifest.json"]
 
 
 # ---------------------------------------------------------------------------
