@@ -24,8 +24,8 @@ from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
 from .decoders import Bp, Sc, Scl, sc_decode_batch
 from .ensemble import (EnsembleConfig, verify_lta_absorption,
                        verify_lta_commutation)
-from .simulation import (BATCH_FRAMES, CHUNK_ROWS, CSV_HEADER, ChannelConfig,
-                         format_csv_row, run_mc)
+from .simulation import (BATCH_FRAMES, CHUNK_ROWS, CSV_HEADER, MAX_FRAMES,
+                         ChannelConfig, format_csv_row, run_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--target-errors", type=int, default=100, metavar="E",
                      help="stop a point after E block errors (0 = frame budget only); "
                           "without --frames a point also stops at "
-                          "simulation.MAX_FRAMES frames")
+                          f"{MAX_FRAMES:,} frames")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--all-zero", action="store_true",
                      help="send the all-zero message instead of random data")

@@ -8,7 +8,10 @@ SC and BP keep their LLR workspaces batch-last, index by row, so that a
 node half or a stage slice is one contiguous run of batch values, and SC
 reads its channel stage as the view llrs.T of the caller's rows, with no
 copy.  SCL keeps its workspaces batch-first, one row per path, because it
-gathers paths by row.
+gathers paths by row; a frame's paths stay in its block of L rows, so SCL
+reads the channel stage per frame and never copies it per path.  The
+g-update builds its signs in int8 from a two-entry table, not as float
+arrays.
 
 SC decodes a node of the decoding tree directly when the frozen pattern
 allows: a rate-0 node (all leaves frozen) gives x = 0, a rate-1 node (no
@@ -183,7 +186,7 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
         if op == _F:
             _boxplus_into(node[:h], node[h:], llr_ws[s - 1])
         elif op == _G:
-            _g_update(node.T, x_out[lo:mid].T, llr_ws[s - 1].T)
+            _g_update(node[:h], node[h:], x_out[lo:mid], llr_ws[s - 1])
         elif op == _COMBINE:
             x_out[lo:mid] ^= x_out[mid:hi]
         elif op == _RATE1:
@@ -197,11 +200,20 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     return polar_transform(x_hat), x_hat
 
 
-def _g_update(parent, left_bits, out):
-    """out = (-1)^left_bits * parent_upper + parent_lower."""
-    h = parent.shape[1] // 2
-    np.multiply(1.0 - 2.0 * left_bits, parent[:, :h], out=out)
-    out += parent[:, h:]
+_SIGNS = np.array([1, -1], np.int8)
+
+
+def _g_update(upper, lower, left_bits, out):
+    """out = (-1)^left_bits * upper + lower; upper and lower broadcast
+    against left_bits, which has out's shape.
+
+    The signs are built in int8 by a table lookup, not as the float
+    arrays 2.0*b and 1.0 - 2.0*b.  An int8 +-1 converts exactly to +-1.0,
+    so the result equals (1.0 - 2.0*left_bits) * upper + lower bit for
+    bit.
+    """
+    np.multiply(_SIGNS.take(left_bits), upper, out=out)
+    out += lower
 
 
 # SC schedule ops, and the two node kinds that are not ops: a rate-0 node
@@ -268,14 +280,17 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     sc_decode_batch bit-exactly, away from the rate-1 LLR ties that its
     docstring describes.
 
-    Leaf-order SC on F*L path rows.  Stage s < m has an LLR workspace and
-    a partial-sum workspace of 2**s columns; the channel stage keeps one
-    row per frame.  Each workspace has its own row map from path to stored
-    row, so a fork only composes the maps and copies no data.  A stage is
-    gathered through its map when it is read, and a write replaces all of
-    its rows.  Path bits are not stored: u = polar_transform(x).  Unused
-    path slots start at metric +inf and are displaced as soon as real
-    forks appear.
+    Leaf-order SC on F*L path rows, the L paths of frame f in rows
+    f*L .. f*L+L-1.  Stage s < m has an LLR workspace and a partial-sum
+    workspace of 2**s columns.  Each workspace has its own row map from
+    path to stored row, so a fork only composes the maps and copies no
+    data.  A stage is gathered through its map when it is read, and a write
+    replaces all of its rows.  The channel stage is the caller's (F, N)
+    rows, read per frame and never copied per path: at phi = 0 its f-update
+    runs once per frame and is broadcast to the frame's paths, and at
+    phi = N/2 its halves are broadcast against each path's partial sums.
+    Path bits are not stored: u = polar_transform(x).  Unused path slots
+    start at metric +inf and are displaced as soon as real forks appear.
     """
     if list_size < 1:
         raise ValueError(f"list_size must be >= 1, got {list_size}")
@@ -286,31 +301,42 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     rows = fsz * lsize
     frame_rows = np.arange(fsz)[:, None]
     frame_base = frame_rows * lsize
-    llr_ws = [np.empty((rows, 1 << s)) for s in range(m)] + [llrs]
+    llr_ws = [np.empty((rows, 1 << s)) for s in range(m)]
     bits = [np.zeros((rows, 1 << s), np.uint8) for s in range(m)]
     work = [np.empty((rows, 1 << s), np.uint8) for s in range(m + 1)]
-    # row maps, None where path row i is stored row i
-    llr_map = [None] * m + [np.repeat(np.arange(fsz), lsize)]
+    # row maps, None where path row i is stored row i.  A fork only
+    # permutes rows within a frame, so path row r always belongs to frame
+    # r // L, and a stage reshaped to (F, L, 2**s) lines up with llrs[:, None]
+    llr_map = [None] * m
     bits_map = [None] * m
 
     def read(ws, maps, s):
-        if maps[s] is None:
-            return ws[s]
-        rows_s = ws[s][maps[s]]
-        if s < m:  # the channel stage stays one row per frame
-            ws[s], maps[s] = rows_s, None
-        return rows_s
+        if maps[s] is not None:
+            ws[s], maps[s] = ws[s][maps[s]], None
+        return ws[s]
+
+    def by_frame(stage):
+        return stage.reshape(fsz, lsize, -1)
 
     pm = np.full((fsz, lsize), np.inf)
     pm[:, 0] = 0.0
     x_final = None
     for phi in range(n):
         if phi == 0:
-            top = m
+            top = m - 1
+            if m:  # a frame's paths are all one path: f-update its row once
+                half = boxplus(llrs[:, : n >> 1], llrs[:, n >> 1:])
+                by_frame(llr_ws[m - 1])[:] = half[:, None]
         else:
             low = (phi & -phi).bit_length() - 1
-            _g_update(read(llr_ws, llr_map, low + 1), read(bits, bits_map, low),
-                      llr_ws[low])
+            h = 1 << low
+            if low == m - 1:
+                _g_update(llrs[:, None, :h], llrs[:, None, h:],
+                          by_frame(read(bits, bits_map, low)), by_frame(llr_ws[low]))
+            else:
+                node = read(llr_ws, llr_map, low + 1)
+                _g_update(node[:, :h], node[:, h:], read(bits, bits_map, low),
+                          llr_ws[low])
             llr_map[low] = None
             top = low
         for s in range(top, 0, -1):
@@ -318,7 +344,10 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
             node = read(llr_ws, llr_map, s)
             _boxplus_into(node[:, :h], node[:, h:], llr_ws[s - 1])
             llr_map[s - 1] = None
-        leaf = read(llr_ws, llr_map, 0)[:, 0].reshape(fsz, lsize)
+        if m:
+            leaf = read(llr_ws, llr_map, 0)[:, 0].reshape(fsz, lsize)
+        else:  # N = 1: the leaf is the channel itself
+            leaf = np.broadcast_to(llrs, (fsz, lsize))
         # log(1 + exp(-+leaf)) split into max(...) plus a shared correction;
         # each fork's penalty is formed independently so that a large leaf
         # magnitude cannot swallow the accumulated metric by cancellation

@@ -313,9 +313,9 @@ def test_simulate_usage_errors(capsys):
 
 
 def test_simulate_help_states_the_defaults_in_use(tmp_path, capsys, monkeypatch):
-    """--help gives the chunk rule, the manifest path and the SCL and BP
-    defaults that a run uses; a run without --manifest-out writes the
-    manifest where the help says."""
+    """--help gives the chunk rule, the manifest path, the frame cap and the
+    SCL and BP defaults that a run uses; a run without --manifest-out
+    writes the manifest where the help says."""
     monkeypatch.setenv("COLUMNS", "300")
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])
@@ -325,6 +325,7 @@ def test_simulate_help_states_the_defaults_in_use(tmp_path, capsys, monkeypatch)
     assert f"(scl only, default {Scl.list_size})" in text
     assert f"(bp only, default {Bp.max_iters})" in text
     assert "(default aedcodes-run.manifest.json)" in text
+    assert f"without --frames a point also stops at {simulation.MAX_FRAMES:,} frames" in text
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, "simulate", "--rm", "1,3", "--ebn0", "2.0:2.0:1",
                    "--frames", "10", "--threads", "1")[0] == 0

@@ -2,7 +2,9 @@
 
 The references below are the leaf-order kernels the library used before
 SC pruned its tree at rate-0, rate-1 and repetition nodes and SCL stopped
-copying whole path workspaces.  SCL must match its reference bit for bit
+copying whole path workspaces.  They compute the g-update inline with the
+float sign formula (1 - 2*bits) * upper + lower, independently of the
+library's int8 sign lookup.  SCL must match its reference bit for bit
 everywhere.  SC must match everywhere except on ties inside rate-1 nodes,
 where the pruned kernel takes the hard decision; the SC reference flags
 the rows on which such a tie occurred.
@@ -14,8 +16,7 @@ import pytest
 from aedcodes import (L_MAX, encode, index_to_monomial_mask, is_decreasing,
                       monomial_leq, polar_code, rm_code, saturate,
                       sc_decode_batch, scl_decode_batch)
-from aedcodes.decoders import (_F, _G, _RATE1, _REP, _boxplus_into, _g_update,
-                               _sc_schedule)
+from aedcodes.decoders import _F, _G, _RATE1, _REP, _boxplus_into, _sc_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,9 @@ def leaf_order_sc(spec, llrs):
             top = m
         else:
             low = (phi & -phi).bit_length() - 1
-            _g_update(llr_ws[low + 1], bits_left[low], llr_ws[low])
+            h = 1 << low
+            up, lo = llr_ws[low + 1][:, :h], llr_ws[low + 1][:, h:]
+            llr_ws[low][:] = (1.0 - 2.0 * bits_left[low]) * up + lo
             top = low
         for s in range(top, 0, -1):
             h = 1 << (s - 1)
@@ -105,7 +108,9 @@ def leaf_order_scl(spec, llrs, list_size):
             top = m
         else:
             low = (phi & -phi).bit_length() - 1
-            _g_update(sl(llr_ws, low + 1), sl(bits, low), sl(llr_ws, low))
+            h = 1 << low
+            up, lo = sl(llr_ws, low + 1)[:, :h], sl(llr_ws, low + 1)[:, h:]
+            sl(llr_ws, low)[:] = (1.0 - 2.0 * sl(bits, low)) * up + lo
             top = low
         for s in range(top, 0, -1):
             h = 1 << (s - 1)

@@ -90,7 +90,9 @@ def test_sc_length_mismatch():
 
 def test_sc_output_independent_of_input_layout():
     # decode_branches scatters through x.ravel(), so every input layout must
-    # give C-contiguous uint8 rows, and the caller's array is only read
+    # give C-contiguous uint8 rows, and the caller's array is only read.  SC
+    # reads its channel stage as a view of the input and SCL reads it per
+    # frame, so both are checked, SCL at list size 4
     spec = rm_code(3, 7)
     rng = np.random.default_rng(15)
     big = rng.normal(0.5, 2.0, (2 * 37, spec.n)).astype(np.float32).astype(np.float64)
@@ -101,11 +103,17 @@ def test_sc_output_independent_of_input_layout():
     before = {name: np.array(arr, copy=True) for name, arr in inputs.items()}
     u_ref, x_ref = sc_decode_batch(spec, llrs.copy())
     assert np.array_equal(u_ref, polar_transform(x_ref))
+    scl_ref = scl_decode_batch(spec, llrs.copy(), 4)
     for name, arr in inputs.items():
         u, x = sc_decode_batch(spec, arr)
         for out, ref in ((u, u_ref), (x, x_ref)):
             assert out.dtype == np.uint8 and out.shape == (37, spec.n), name
             assert out.flags.c_contiguous, name
+            assert np.array_equal(out, ref), name
+        assert np.array_equal(np.asarray(arr), before[name]), name
+        outs = scl_decode_batch(spec, arr, 4)
+        for out, ref in zip(outs, scl_ref):
+            assert out.dtype == ref.dtype and out.shape == ref.shape, name
             assert np.array_equal(out, ref), name
         assert np.array_equal(np.asarray(arr), before[name]), name
 
@@ -126,6 +134,27 @@ def test_sc_does_not_copy_its_input():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * llrs.nbytes
+
+
+def test_scl_holds_no_per_path_copy_of_its_input():
+    # In units of F*L*N*8 bytes (one float64 LLR per path and code bit), the
+    # kernel holds the LLR workspaces of stages 0..m-1, (N-1)/N; the
+    # partial sums of stages 0..m-1 and the combine buffers of stages
+    # 0..m, uint8, (3N-2)/(8N); and at its peak either an f-update at
+    # stage m-1 (two quarter-stage temporaries, 0.5) or a g-update into
+    # stage m-1 (the int8 signs and their float64 conversion, 0.56 with
+    # the uint8 bits gathered).  That is about 2 units.  A per-path copy
+    # of the channel stage would add 1, and float sign arrays about 0.5.
+    spec = rm_code(4, 8)
+    fsz, lsize = 64, 32
+    llrs = np.random.default_rng(17).normal(1.0, 2.0, (fsz, spec.n))
+    tracemalloc.start()
+    try:
+        scl_decode_batch(spec, llrs, lsize)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * fsz * lsize * spec.n * 8
 
 
 def test_sc_sign_flip_linearity():
