@@ -14,9 +14,9 @@ from .codes import (CapacityError, CodeSpec, Monomial, MonomialSet, encode,
 from .decoders import (L_MAX, Bp, Sc, Scl, bp_decode_batch, boxplus, saturate,
                        sc_decode_batch, scl_decode_batch)
 from .ensemble import (EnsembleConfig, VerificationReport,
-                       conjugated_sc_branch, decode_branches, select_winners,
+                       conjugated_sc_branch, select_winners,
                        verify_lta_absorption, verify_lta_commutation)
-from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, format_csv_row,
-                         ml_decode_oracle, run_mc, transmit)
+from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, decode_branches,
+                         format_csv_row, ml_decode_oracle, run_mc, transmit)
 
 __version__ = "0.3.0"

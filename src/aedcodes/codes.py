@@ -322,13 +322,12 @@ def read_frozen_file(path) -> CodeSpec:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("m="):
         raise ValueError(f"{path}: expected 'm=<int>' then an indicator line")
-    m = int(lines[0][2:])
     pattern = lines[1]
     if set(pattern) - {"0", "1"}:
         raise ValueError(f"{path}: indicator line must be chars of 0/1")
     frozen = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8) == ord("1")
     try:
-        return polar_code(m, frozen)
+        return polar_code(int(lines[0][2:]), frozen)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -10,8 +10,8 @@ reads its channel stage as the view llrs.T of the caller's rows, with no
 copy.  SCL keeps its workspaces batch-first, one row per path, because it
 gathers paths by row; a frame's paths stay in its block of L rows, so SCL
 reads the channel stage per frame and never copies it per path.  The
-g-update builds its signs in int8 from a two-entry table, not as float
-arrays.
+g-update looks its signs up from a two-entry table straight into its
+output, not as float sign arrays.
 
 SC decodes a node of the decoding tree directly when the frozen pattern
 allows: a rate-0 node (all leaves frozen) gives x = 0, a rate-1 node (no
@@ -200,19 +200,20 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     return polar_transform(x_hat), x_hat
 
 
-_SIGNS = np.array([1, -1], np.int8)
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _g_update(upper, lower, left_bits, out):
     """out = (-1)^left_bits * upper + lower; upper and lower broadcast
     against left_bits, which has out's shape.
 
-    The signs are built in int8 by a table lookup, not as the float
-    arrays 2.0*b and 1.0 - 2.0*b.  An int8 +-1 converts exactly to +-1.0,
-    so the result equals (1.0 - 2.0*left_bits) * upper + lower bit for
-    bit.
+    The signs are looked up from a two-entry table straight into out
+    (mode="clip" keeps take from buffering out), not built as float
+    arrays.  Products and sums of +-1.0 are exact and commute, so the
+    result equals (1.0 - 2.0*left_bits) * upper + lower bit for bit.
     """
-    np.multiply(_SIGNS.take(left_bits), upper, out=out)
+    np.take(_SIGNS, left_bits, out=out, mode="clip")
+    out *= upper
     out += lower
 
 

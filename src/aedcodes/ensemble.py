@@ -1,6 +1,6 @@
-"""Automorphism ensemble decoding: M conjugated constituent decoders plus a
-best-correlation (ML-in-the-list) selection, and executable verification of
-the SC/permutation commutation properties.
+"""Automorphism ensemble configs (M conjugated constituent decoders), the
+best-correlation (ML-in-the-list) winner rule, and executable verification
+of the SC/permutation commutation properties.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import numpy as np
 from .automorphisms import (SUBGROUPS, AffineAutomorphism, AutomorphismBatch,
                             check_ensemble, compile_tables, compose, inverse,
                             mlup_decompose, sample, sample_ensemble)
-from .codes import CodeSpec, is_decreasing, polar_transform
-from .decoders import (Bp, Sc, Scl, bp_decode_batch, check_count,
-                       sc_decode_batch, scl_decode_batch)
+from .codes import CodeSpec, is_decreasing
+from .decoders import Bp, Sc, Scl, check_count, sc_decode_batch
 
 DecoderConfig = Sc | Scl | Bp
 
@@ -98,53 +97,6 @@ def select_winners(x: np.ndarray, valid: np.ndarray, y: np.ndarray
     return np.argmax(scores, axis=1), scores
 
 
-def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
-                    constituent: DecoderConfig, bp_dtype=np.float64
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run every ensemble branch of a batch of frames.
-
-    llrs is (F, N).  tables holds compiled index tables t, either (M, N)
-    shared by all frames or (F, M, N) per frame.  Branch j interleaves by
-    gathering, llr[t_j], and de-interleaves its estimates by scattering
-    through the same table, out[t_j[i]] = x[i]; no inverse table is built.
-    Returns de-interleaved candidates (F, C, N), branch indices (F, C),
-    per-candidate iteration counts (F, C; 1 for SC/SCL) and a validity mask
-    (F, C) that disqualifies unused list slots (short SCL lists).  C = M,
-    or M * L for an SCL-L constituent: candidates are ordered by branch,
-    then by SCL list slot, so candidate c came from branch c // L (L = 1
-    for SC and BP).  select_winners picks each frame's winner.
-    """
-    fsz, n = llrs.shape
-    tables = np.broadcast_to(tables, (fsz,) + tables.shape[-2:])
-    msz = tables.shape[1]
-    rows = fsz * msz
-    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2).reshape(rows, n)
-    if isinstance(constituent, Sc):
-        x, lsz, iters, valid = (sc_decode_batch(spec, permuted)[1], 1,
-                                np.ones(rows, dtype=np.int64), np.ones(rows, dtype=bool))
-    elif isinstance(constituent, Scl):
-        lsz = constituent.list_size
-        _, x, pm = scl_decode_batch(spec, permuted, lsz)
-        iters, valid = np.ones(pm.size, dtype=np.int64), np.isfinite(pm)
-    elif isinstance(constituent, Bp):
-        u, _, it, _ = bp_decode_batch(spec, permuted, constituent.max_iters,
-                                      constituent.stopping, dtype=bp_dtype)
-        # candidates must be codewords for the correlation selection to be
-        # meaningful: re-encode the message estimate (equal to the codeword
-        # hard decision whenever the branch converged)
-        x, lsz, iters, valid = polar_transform(u), 1, it, np.ones(rows, dtype=bool)
-    else:
-        raise TypeError(f"unsupported constituent decoder {constituent!r}")
-    out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
-    # one flat scatter: output row r of (F, M, L) starts at r * N
-    row = np.arange(fsz * msz * lsz).reshape(fsz, msz, lsz, 1) * n
-    out.reshape(-1)[(tables[:, :, None, :] + row).ravel()] = x.ravel()
-    csz = msz * lsz
-    branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, csz))
-    return (out.reshape(fsz, csz, n), branch, iters.reshape(fsz, csz),
-            valid.reshape(fsz, csz))
-
-
 # ---------------------------------------------------------------------------
 # executable verification of the commutation properties
 
@@ -192,8 +144,10 @@ def conjugated_sc_branch(spec: CodeSpec, aut: AffineAutomorphism, llr) -> np.nda
     order of the automorphisms.  Over a whole subgroup the set of branches
     is unchanged (each element is simply relabelled by its inverse).
     """
-    llr = np.asarray(llr, dtype=np.float64)[None, :]
-    return decode_branches(spec, llr, compile_tables([inverse(aut)]), Sc())[0][0, 0]
+    table = compile_tables([inverse(aut)])[0]
+    x = np.empty(spec.n, np.uint8)
+    x[table] = sc_decode_batch(spec, np.asarray(llr, dtype=np.float64)[None, table])[1][0]
+    return x
 
 
 def verify_lta_absorption(spec: CodeSpec, trials: int,

@@ -1,5 +1,6 @@
 """BPSK/AWGN channel, Monte-Carlo error-rate harness and brute-force ML
-oracle.
+oracle, with the package's one decoder dispatch, _decode_rows, through
+which plain chunks and ensemble branches (decode_branches) run.
 
 Every frame draws its message and noise from streams derived from
 (channel seed, frame index), so runs are reproducible bit-for-bit, results
@@ -34,10 +35,9 @@ import numpy as np
 from .automorphisms import compile_tables
 from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
                     encode, polar_transform)
-from .decoders import (Bp, L_MAX, Sc, Scl, bp_decode_batch, saturate,
+from .decoders import (Bp, Sc, Scl, bp_decode_batch, saturate,
                        sc_decode_batch, scl_decode_batch)
-from .ensemble import (EnsembleConfig, check_seed, decode_branches,
-                       select_winners)
+from .ensemble import DecoderConfig, EnsembleConfig, check_seed, select_winners
 
 # The one bound on the kernels' working set: a chunk holds
 # min(BATCH_FRAMES, max(1, CHUNK_ROWS // M)) frames of an ensemble of M
@@ -269,6 +269,58 @@ def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
         lo = end
 
 
+def _decode_rows(spec: CodeSpec, llrs: np.ndarray, config: DecoderConfig,
+                 bp_dtype=np.float64) -> tuple[np.ndarray, ...]:
+    """The package's one Sc/Scl/Bp dispatch: decode (R, N) LLR rows with a
+    plain config (BP in bp_dtype); any other config is a TypeError.  Returns
+    u and x (R, L, N), iteration counts (1 but for BP) and validity (R, L),
+    where L is 1 but for SCL: its slots in metric order, unused ones invalid."""
+    if isinstance(config, Scl):
+        u, x, pm = scl_decode_batch(spec, llrs, config.list_size)
+        return u, x, np.ones(pm.shape, np.int64), np.isfinite(pm)
+    if isinstance(config, Sc):
+        (u, x), iters = sc_decode_batch(spec, llrs), np.ones(len(llrs), np.int64)
+    elif isinstance(config, Bp):
+        u, x, iters, _ = bp_decode_batch(spec, llrs, config.max_iters,
+                                         config.stopping, dtype=bp_dtype)
+    else:
+        raise TypeError(f"unsupported decoder {config!r}")
+    return u[:, None], x[:, None], iters[:, None], np.ones((len(llrs), 1), bool)
+
+
+def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
+                    constituent: DecoderConfig, bp_dtype=np.float64
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run every ensemble branch of a batch of frames.
+
+    llrs is (F, N).  tables holds compiled index tables t, either (M, N)
+    shared by all frames or (F, M, N) per frame.  Branch j interleaves by
+    gathering, llr[t_j], and de-interleaves its estimates by scattering
+    through the same table, out[t_j[i]] = x[i]; no inverse table is built.
+    Returns candidates (F, C, N), de-interleaved, and their branch indices,
+    iteration counts and validity (see _decode_rows), each (F, C).  C = M*L,
+    ordered by branch, then list slot: candidate c came from branch c // L.
+    """
+    fsz, n = llrs.shape
+    tables = np.broadcast_to(tables, (fsz,) + tables.shape[-2:])
+    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2).reshape(-1, n)
+    u, x, iters, valid = _decode_rows(spec, permuted, constituent, bp_dtype)
+    if isinstance(constituent, Bp):
+        # candidates must be codewords for the correlation selection to be
+        # meaningful: re-encode the message estimate (equal to the codeword
+        # hard decision whenever the branch converged)
+        x = polar_transform(u)
+    msz, lsz = tables.shape[1], x.shape[1]
+    out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
+    # one flat scatter: output row r of (F, M, L) starts at r * N
+    row = np.arange(fsz * msz * lsz).reshape(fsz, msz, lsz, 1) * n
+    out.reshape(-1)[(tables[:, :, None, :] + row).ravel()] = x.ravel()
+    csz = msz * lsz
+    branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, csz))
+    return (out.reshape(fsz, csz, n), branch, iters.reshape(fsz, csz),
+            valid.reshape(fsz, csz))
+
+
 def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
                 all_zero: bool, tables: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -302,18 +354,7 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     y = (1.0 - 2.0 * x_true) + noise
     llr = saturate(2.0 * y / sigma ** 2)
 
-    iters_sum = np.ones(fsz)
-    runs = np.ones(fsz, dtype=np.int64)
-    if isinstance(decoder, Sc):
-        u_hat, x_hat = sc_decode_batch(spec, llr)
-    elif isinstance(decoder, Scl):
-        u3, x3, _ = scl_decode_batch(spec, llr, decoder.list_size)
-        u_hat, x_hat = u3[:, 0], x3[:, 0]
-    elif isinstance(decoder, Bp):
-        u_hat, x_hat, iters, _ = bp_decode_batch(
-            spec, llr, decoder.max_iters, decoder.stopping, dtype=_BP_MC_DTYPE)
-        iters_sum = iters.astype(np.float64)
-    else:  # EnsembleConfig
+    if isinstance(decoder, EnsembleConfig):
         if decoder.resample_per_frame:
             # one sampler call and one compile for every frame of the chunk
             states = [state for (state,) in _stream_states(decoder.seed, lo, hi)]
@@ -324,9 +365,12 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
                                                 bp_dtype=_BP_MC_DTYPE)
         x_hat = x_de[np.arange(fsz), select_winners(x_de, valid, y)[0]]
         u_hat = polar_transform(x_hat)
-        # every candidate is one constituent run (1 iteration for SC/SCL)
-        iters_sum = iters.sum(axis=1).astype(np.float64)
-        runs = np.full(fsz, iters.shape[1], dtype=np.int64)
+    else:  # SCL's slot 0 is its best metric; BP keeps its own hard decision
+        u, x, iters, _ = _decode_rows(spec, llr, decoder, bp_dtype=_BP_MC_DTYPE)
+        u_hat, x_hat, iters = u[:, 0], x[:, 0], iters[:, :1]
+    # every candidate is one constituent run (1 iteration for SC/SCL)
+    iters_sum = iters.sum(axis=1).astype(np.float64)
+    runs = np.full(fsz, iters.shape[1], dtype=np.int64)
 
     blk = np.any(x_hat != x_true, axis=1)
     bits = np.count_nonzero(u_hat[:, spec.info_indices] != msgs, axis=1)
@@ -353,6 +397,8 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         raise ValueError("frame budget must be >= 1")
     if spec.k == 0:
         raise ValueError("cannot simulate a dimension-0 code")
+    if not isinstance(decoder, (DecoderConfig, EnsembleConfig)):
+        raise TypeError(f"decoder must be Sc, Scl, Bp or EnsembleConfig, got {decoder!r}")
     budget = frames if frames is not None else MAX_FRAMES
     target = target_errors if target_errors else None
     t0 = time.perf_counter()

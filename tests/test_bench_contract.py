@@ -37,10 +37,12 @@ def test_traced_attribute_exists(module, attr):
     (EnsembleConfig(2, "ga", Sc(), resample_per_frame=True, seed=1),
      {"decoders.sc_rows": 16, "automorphisms.kept": 16}),
     (Scl(2), {"decoders.scl_rows": 8}),
-], ids=["sc", "aut2-ga-sc-resampled", "scl2"])
+    (EnsembleConfig(2, "ga", Scl(2), resample_per_frame=True, seed=1),
+     {"decoders.scl_rows": 16, "automorphisms.kept": 16}),
+], ids=["sc", "aut2-ga-sc-resampled", "scl2", "aut2-ga-scl2-resampled"])
 def test_tracer_counts_kernel_rows(decoder, counts):
-    """8 RM(2,5) frames: one SC or SCL row per frame, and M = 2 SC rows and
-    M automorphisms per frame for the resampled ensemble."""
+    """8 RM(2,5) frames: one SC or SCL row per frame, and M = 2 SC or SCL
+    rows and M automorphisms per frame for the resampled ensembles."""
     spec = rm_code(2, 5)
     tracer = tracing.Tracer()
     with tracer.installed(ae):

@@ -68,6 +68,17 @@ def test_code_info_frozen_file_bad_m(tmp_path, capsys, m):
     assert err.splitlines() == [f"error: {path}: m={m} outside [0, 20]"]
 
 
+def test_code_info_frozen_file_non_integer_m(tmp_path, capsys):
+    """A frozen file's m that is not an integer is a usage error naming the
+    file."""
+    path = tmp_path / "bad.frozen"
+    path.write_text("m=abc\n0101\n")
+    code, out, err = run_cli(capsys, "code-info", "--frozen-file", str(path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {path}: invalid literal for int() with base 10: 'abc'"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -4,7 +4,7 @@ The references below are the leaf-order kernels the library used before
 SC pruned its tree at rate-0, rate-1 and repetition nodes and SCL stopped
 copying whole path workspaces.  They compute the g-update inline with the
 float sign formula (1 - 2*bits) * upper + lower, independently of the
-library's int8 sign lookup.  SCL must match its reference bit for bit
+library's sign lookup.  SCL must match its reference bit for bit
 everywhere.  SC must match everywhere except on ties inside rate-1 nodes,
 where the pruned kernel takes the hard decision; the SC reference flags
 the rows on which such a tie occurred.

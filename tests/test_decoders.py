@@ -9,6 +9,7 @@ from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       compile_tables, encode, enumerate_codebook, in_code,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
+from aedcodes.decoders import _g_update
 
 
 def noiseless_llrs(codewords):
@@ -142,8 +143,8 @@ def test_scl_holds_no_per_path_copy_of_its_input():
     # partial sums of stages 0..m-1 and the combine buffers of stages
     # 0..m, uint8, (3N-2)/(8N); and at its peak either an f-update at
     # stage m-1 (two quarter-stage temporaries, 0.5) or a g-update into
-    # stage m-1 (the int8 signs and their float64 conversion, 0.56 with
-    # the uint8 bits gathered).  That is about 2 units.  A per-path copy
+    # stage m-1 (the sign lookup's intp index, 0.5, and the uint8 bits
+    # gathered).  That is about 2 units.  A per-path copy
     # of the channel stage would add 1, and float sign arrays about 0.5.
     spec = rm_code(4, 8)
     fsz, lsize = 64, 32
@@ -155,6 +156,25 @@ def test_scl_holds_no_per_path_copy_of_its_input():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * fsz * lsize * spec.n * 8
+
+
+def test_g_update_looks_its_signs_up_into_out():
+    # take still converts the uint8 bits to an intp index, out's size in
+    # float64, and nothing else is allocated; an int8 sign array with its
+    # float64 conversion, or float sign arrays, would add an eighth or more.
+    rng = np.random.default_rng(18)
+    upper, lower = rng.normal(0.0, 2.0, (2, 2048, 128))
+    bits = rng.integers(0, 2, (2048, 128), dtype=np.uint8)
+    out = np.empty((2048, 128))
+    _g_update(upper, lower, bits, out)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        _g_update(upper, lower, bits, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * out.nbytes
+    assert np.array_equal(out, (1.0 - 2.0 * bits) * upper + lower)
 
 
 def test_sc_sign_flip_linearity():

@@ -7,13 +7,14 @@ import pytest
 
 from aedcodes import (AffineAutomorphism, Bp, EnsembleConfig, Sc, Scl,
                       bp_decode_batch, compile_tables, compose,
-                      conjugated_sc_branch, encode, format_automorphism,
+                      conjugated_sc_branch, decode_branches, encode,
+                      format_automorphism,
                       identity_automorphism, in_code, inverse, mlup_decompose, polar_transform,
                       rm_code, sample, sc_decode_batch,
                       scl_decode_batch, verify_lta_absorption,
                       verify_lta_commutation)
 from aedcodes.cli import UsageError, _load_run, _manifest, build_parser
-from aedcodes.ensemble import decode_branches, select_winners
+from aedcodes.ensemble import select_winners
 
 
 def make_frame(spec, rng, sigma=0.7):

@@ -481,6 +481,24 @@ def test_run_mc_refuses_an_undrawable_ensemble_before_any_chunk(
             run_mc(spec, cfg, ChannelConfig(1.0, spec.rate), frames=20)
 
 
+def test_run_mc_refuses_a_foreign_decoder_before_any_chunk(monkeypatch):
+    """A decoder that is not Sc, Scl, Bp or EnsembleConfig is a TypeError
+    before any chunk runs or any worker process starts."""
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(2.0, spec.rate)
+    with pytest.raises(TypeError, match="decoder must be"):
+        run_mc(spec, "sc", ch, frames=4, target_errors=None)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(TypeError, match="decoder must be"):
+        run_mc(spec, "sc", ch, frames=512, target_errors=None, workers=2)
+    with pytest.raises(TypeError, match="unsupported decoder"):
+        decode_branches(spec, np.zeros((1, spec.n)), np.arange(spec.n)[None], "sc")
+
+
 def test_run_mc_stops_at_the_frame_cap(monkeypatch):
     """Without a frame budget a point that cannot reach its error target
     stops at MAX_FRAMES, and the record says which limit ended it."""
