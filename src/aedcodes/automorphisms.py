@@ -282,7 +282,7 @@ def sample_ensemble(m: int, subgroup: str, count: int,
     Every subgroup takes one path.  Each state's value stream (_reader) is
     read in bulk, for about 1.5 `count` draws, and the "ga" windows of all
     states are rank-tested in one call (run_mc bounds the arrays by
-    simulation.CHUNK_ROWS).  Each walk then skips the m values of a singular
+    decoders.CHUNK_ROWS).  Each walk then skips the m values of a singular
     "ga" window, as rejection redraws them, and takes m + 1 (rows, then b)
     for any other draw, kept unless they repeat a kept draw's.  A walk that
     runs out reads its state again, twice as long (the old values its

@@ -21,11 +21,11 @@ from .automorphisms import (SUBGROUPS, compose, format_automorphism,
 from .codes import (CapacityError, CodeSpec, encode, enumerate_codebook,
                     is_decreasing, pointwise_product_in_lower, polar_code,
                     read_frozen_file, rm_code, split_subcodes)
-from .decoders import Bp, Sc, Scl, sc_decode_batch
+from .decoders import CHUNK_ROWS, Bp, Sc, Scl, sc_decode_batch
 from .ensemble import (EnsembleConfig, verify_lta_absorption,
                        verify_lta_commutation)
-from .simulation import (BATCH_FRAMES, CHUNK_ROWS, CSV_HEADER, MAX_FRAMES,
-                         ChannelConfig, format_csv_row, run_mc)
+from .simulation import (BATCH_FRAMES, CSV_HEADER, MAX_FRAMES, ChannelConfig,
+                         format_csv_row, run_mc)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

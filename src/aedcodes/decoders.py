@@ -22,16 +22,27 @@ This equals leaf-order SC except on LLR ties inside rate-1 nodes (see
 sc_decode_batch).  SCL keeps the leaf-order schedule, because its path
 metric needs every leaf LLR, frozen or not.
 
+SC compiles its node schedule once per (frozen pattern, rows) into a plan,
+a flat list of ufunc calls on workspaces the plan owns, since at the few
+hundred rows of an ensemble chunk the cost of numpy's calls, not their
+arithmetic, bounds it.  The plan of the last call is kept for the next
+when it has at most CHUNK_ROWS rows, which holds about 17 bytes per row and
+code bit (2.2 MB for RM(4,8) at 512 rows); a call takes it out while it
+runs, so concurrent and re-entrant calls build their own.  Boxplus and
+the g-update each have one listing of calls (_boxplus_steps, _g_steps):
+SC's plans keep them, and SCL, BP and boxplus run them at once.
+
 Decoders are deterministic pure functions; batched kernels process rows
-independently, so per-row results never depend on how calls are batched.
-No kernel splits its rows: a call's workspaces hold all of them, and
-run_mc bounds the rows per call (simulation.CHUNK_ROWS).  BP compacts its
-workspace in each iteration where rows converge.
+independently, so per-row results never depend on how calls are batched
+or on which plan SC ran.  No kernel splits its rows: a call's workspaces
+hold all of them, and run_mc bounds the rows per call (CHUNK_ROWS).  BP
+compacts its workspace in each iteration where rows converge.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +50,10 @@ import numpy as np
 from .codes import CodeSpec, polar_transform
 
 L_MAX = 40.0  # saturation magnitude standing in for certain (infinite) LLRs
+# The rows a kernel call is sized for: run_mc holds an ensemble chunk to at
+# most this many decoder rows (see simulation), and sc_decode_batch keeps
+# its compiled plan only for calls of at most this many rows.
+CHUNK_ROWS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +132,36 @@ def boxplus(a, b):
 
 
 def _boxplus_into(a, b, out):
-    s = a + b
-    d = a - b
-    np.abs(s, out=s)
-    np.abs(d, out=d)
-    np.subtract(s, d, out=out)
-    out *= 0.5
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    np.log1p(s, out=s)
-    np.negative(d, out=d)
-    np.exp(d, out=d)
-    np.log1p(d, out=d)
-    # single rounded subtraction keeps the kernel exactly odd: flipping the
-    # sign of either input negates s/d roles, and both the min term and this
-    # correction difference negate without extra rounding
-    s -= d
-    out += s
+    """out = boxplus(a, b), by the calls of _boxplus_steps on a fresh
+    scratch of twice out's size."""
+    _run(_boxplus_steps(a, b, out, np.empty((2 * len(out),) + out.shape[1:],
+                                            out.dtype)))
     return out
+
+
+def _boxplus_steps(a, b, out, sd):
+    """The calls of boxplus(a, b) into out, as (ufunc, args) pairs, which
+    _boxplus_into runs at once and SC's plans keep.  The two temporaries
+    s = |a+b| and d = |a-b| are the halves of sd, which has twice out's
+    rows and out's dtype and is contiguous, so each of the four passes
+    that apply to both (abs, negative, exp, log1p) is one call.  The
+    constant is a 0-d array, which a ufunc takes in about half the time of
+    a Python float."""
+    s, d = sd[:len(out)], sd[len(out):]
+    # the last subtraction, one rounding, keeps the kernel exactly odd:
+    # flipping the sign of either input swaps the roles of s and d, and
+    # both the min term (s - d)/2 and this correction difference negate
+    # without extra rounding
+    return [(np.add, (a, b, s)), (np.subtract, (a, b, d)), (np.abs, (sd, sd)),
+            (np.subtract, (s, d, out)),
+            (np.multiply, (out, np.array(0.5, out.dtype), out)),
+            (np.negative, (sd, sd)), (np.exp, (sd, sd)), (np.log1p, (sd, sd)),
+            (np.subtract, (s, d, s)), (np.add, (out, s, out))]
+
+
+def _run(steps):
+    for func, args in steps:
+        func(*args)
 
 
 def saturate(llr) -> np.ndarray:
@@ -159,13 +186,20 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Runs the node schedule of spec's frozen pattern (see _sc_schedule):
     f- and g-updates only inside mixed nodes, and one direct decision per
-    rate-0, rate-1 or repetition node.  There is one LLR workspace per
-    stage, stored batch-last as (2**s, B), so every node half and every
-    codeword slice is one contiguous run; the channel stage is read as the
-    view llrs.T, never copied.  The codeword is assembled in place as
-    (N, B) and transposed once at the end, so both results are
-    C-contiguous (B, N) uint8, and u_hat is polar_transform(x_hat), since
-    G_N is an involution.
+    rate-0, rate-1 or repetition node.  The schedule is compiled, per
+    frozen pattern and row count B, into a plan (_ScPlan): a flat list of
+    ufunc calls on workspaces the plan owns, one LLR workspace per stage
+    stored batch-last as (2**s, B), so every node half and every codeword
+    slice is one contiguous run.  The channel stage is read as the view
+    llrs.T, bound to the plan's calls anew on every call, never copied.
+    The codeword is assembled in place as (N, B) and copied out transposed,
+    so both results are fresh C-contiguous (B, N) uint8 arrays, and u_hat
+    is polar_transform(x_hat), since G_N is an involution.
+
+    The plan of the most recent call is kept for the next one when B is at
+    most CHUNK_ROWS, and built again otherwise; it holds about 17 N B
+    bytes (2.2 MB for RM(4,8) at 512 rows).  A call takes the kept plan out
+    while it runs, so concurrent and re-entrant calls build their own.
 
     The result equals leaf-order SC except on a tie inside a rate-1 node,
     which takes the hard decision x = (L < 0).  Leaf order differs from it
@@ -176,28 +210,103 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     _check_rows(spec, llrs)
-    bsz, n = llrs.shape
-    m = spec.m
-    llr_ws = [np.empty((1 << s, bsz)) for s in range(m)] + [llrs.T]
-    x_out = np.zeros((n, bsz), np.uint8)
-    for op, s, lo, mid, hi in _sc_schedule(spec.frozen.tobytes()):
-        node = llr_ws[s]
-        h = mid - lo
-        if op == _F:
-            _boxplus_into(node[:h], node[h:], llr_ws[s - 1])
-        elif op == _G:
-            _g_update(node[:h], node[h:], x_out[lo:mid], llr_ws[s - 1])
-        elif op == _COMBINE:
-            x_out[lo:mid] ^= x_out[mid:hi]
-        elif op == _RATE1:
-            np.less(node, 0.0, out=x_out[lo:hi])
-        else:  # _REP: the halving sums that g-updates make over zero left bits
-            while len(node) > 1:
-                h = len(node) >> 1
-                node = node[:h] + node[h:]
-            x_out[lo:hi] = node < 0.0
-    x_hat = np.ascontiguousarray(x_out.T)
+    x_hat = _sc_codewords(spec.frozen.tobytes(), llrs.T)
     return polar_transform(x_hat), x_hat
+
+
+_plan_lock = threading.Lock()
+_kept_plan = None  # (key, plan) of the last call of at most CHUNK_ROWS rows
+
+
+def _sc_codewords(frozen: bytes, channel: np.ndarray) -> np.ndarray:
+    """SC codewords, (B, N), of the (N, B) channel stage, through the kept
+    plan when its key is (frozen, B) and a new one otherwise."""
+    global _kept_plan
+    key = frozen, channel.shape[1]
+    with _plan_lock:
+        kept, _kept_plan = _kept_plan, None
+    plan = kept[1] if kept is not None and kept[0] == key else _ScPlan(*key)
+    x_hat = plan.run(channel).T.copy()  # a copy even when B = 1
+    if key[1] <= CHUNK_ROWS:
+        _kept_plan = key, plan
+    return x_hat
+
+
+class _Channel:
+    """Stand-in for the channel-stage rows `rows` in a plan's calls,
+    replaced by that view of the caller's LLRs on every run.  Only the
+    whole stage, _Channel(), is sliced."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows=slice(None)):
+        self.rows = rows
+
+    def __getitem__(self, rows):
+        return _Channel(rows)
+
+
+_ZERO = np.array(0.0)  # as a 0-d array, like boxplus's 0.5
+
+
+class _ScPlan:
+    """SC's node schedule for one frozen pattern and row count, compiled
+    once into the ufunc calls that run it.
+
+    Owns the stage workspaces (2**s, rows) for s < m, an (N, rows)
+    scratch for boxplus, the g-update's sign indices and the repetition
+    folds, and the (N, rows) codeword: 17 N rows bytes.  Calls that read
+    the channel stage hold _Channel stand-ins, bound to the caller's rows
+    by run()."""
+
+    __slots__ = ("steps", "bound", "x")
+
+    def __init__(self, frozen: bytes, rows: int):
+        n = len(frozen)
+        m = n.bit_length() - 1
+        stages = [np.empty((1 << s, rows)) for s in range(m)] + [_Channel()]
+        scratch = np.empty((n, rows))
+        x = np.zeros((n, rows), np.uint8)
+        decide = x.view(np.bool_)  # hard decisions need no cast to uint8
+        steps = []
+        for op, s, lo, mid, hi in _sc_schedule(frozen):
+            node = stages[s]
+            h = mid - lo
+            if op == _F:
+                steps += _boxplus_steps(node[:h], node[h:], stages[s - 1],
+                                        scratch[:2 * h])
+            elif op == _G:
+                # the sign indices first copied to intp in the scratch, so
+                # that take converts nothing
+                index = scratch[:h].view(np.intp)
+                steps.append((np.copyto, (index, x[lo:mid])))
+                steps += _g_steps(node[:h], node[h:], index, stages[s - 1])
+            elif op == _COMBINE:
+                steps.append((np.bitwise_xor, (x[lo:mid], x[mid:hi], x[lo:mid])))
+            elif op == _RATE1:
+                steps.append((np.less, (node, _ZERO, decide[lo:hi])))
+            else:  # _REP: the halving sums that g-updates make over zero left bits
+                h = hi - lo
+                while h > 1:
+                    h >>= 1
+                    steps.append((np.add, (node[:h], node[h:2 * h], scratch[:h])))
+                    node = scratch[:h]
+                steps.append((np.less, (node, _ZERO, decide[lo:hi])))
+        self.steps = steps
+        self.bound = [(i, func, args) for i, (func, args) in enumerate(steps)
+                      if any(isinstance(a, _Channel) for a in args)]
+        self.x = x
+
+    def run(self, channel: np.ndarray) -> np.ndarray:
+        """Decode the (N, rows) channel stage; returns the plan's own
+        (N, rows) codeword buffer, valid until the plan runs again."""
+        steps = self.steps.copy()  # so no call keeps the caller's rows
+        for i, func, args in self.bound:
+            steps[i] = func, tuple(channel[a.rows] if isinstance(a, _Channel) else a
+                                   for a in args)
+        self.x.fill(0)  # rate-0 ranges read zero, but a COMBINE xors into some
+        _run(steps)
+        return self.x
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -212,9 +321,13 @@ def _g_update(upper, lower, left_bits, out):
     arrays.  Products and sums of +-1.0 are exact and commute, so the
     result equals (1.0 - 2.0*left_bits) * upper + lower bit for bit.
     """
-    np.take(_SIGNS, left_bits, out=out, mode="clip")
-    out *= upper
-    out += lower
+    _run(_g_steps(upper, lower, left_bits, out))
+
+
+def _g_steps(upper, lower, left_bits, out):
+    """The calls of _g_update, as (ufunc, args) pairs for SC's plans."""
+    return [(_SIGNS.take, (left_bits, None, out, "clip")),
+            (np.multiply, (out, upper, out)), (np.add, (out, lower, out))]
 
 
 # SC schedule ops, and the two node kinds that are not ops: a rate-0 node
@@ -406,7 +519,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     their outputs are frozen and the workspace is compacted to the rows
     still running, so mixed-difficulty batches only pay for those.  The
     workspace holds all B rows at first; run_mc bounds the rows of a call
-    (simulation.CHUNK_ROWS).
+    (CHUNK_ROWS).
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +34,15 @@ import numpy as np
 from .automorphisms import compile_tables
 from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
                     encode, polar_transform)
-from .decoders import (Bp, Sc, Scl, bp_decode_batch, saturate,
-                       sc_decode_batch, scl_decode_batch)
+from .decoders import (CHUNK_ROWS, L_MAX, Bp, Sc, Scl, bp_decode_batch,
+                       saturate, sc_decode_batch, scl_decode_batch)
 from .ensemble import DecoderConfig, EnsembleConfig, check_seed, select_winners
 
 # The one bound on the kernels' working set: a chunk holds
 # min(BATCH_FRAMES, max(1, CHUNK_ROWS // M)) frames of an ensemble of M
-# branches (M = 1 for a plain decoder; SCL list paths are not counted).
-# Results are independent of both constants.
+# branches (M = 1 for a plain decoder; SCL list paths are not counted), with
+# CHUNK_ROWS from decoders.  Results are independent of both constants.
 BATCH_FRAMES = 256
-CHUNK_ROWS = 512
 # Frame budget of a run given only an error target: 100 errors at BLER 1e-4.
 # A point that does not reach its target by then stops there, and its record
 # says so (SimRecord.stopped_by == "cap"); pass a frame budget to go further.
@@ -351,8 +349,15 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
         noise[t] = rng.normal(0.0, sigma, n)
     msgs = raw.view(np.uint8)[:, :k] >> 7
     x_true = encode(spec, msgs)
-    y = (1.0 - 2.0 * x_true) + noise
-    llr = saturate(2.0 * y / sigma ** 2)
+    # y = (1 - 2x) + noise and llr = saturate(2y / sigma^2), in place and
+    # rounded in the same order (-2x + 1 is exactly 1 - 2x); y takes over
+    # the noise buffer
+    llr = np.multiply(x_true, -2.0, out=np.empty((fsz, n)))
+    llr += 1.0
+    y = np.add(llr, noise, out=noise)
+    np.multiply(y, 2.0, out=llr)
+    llr /= sigma ** 2
+    np.clip(llr, -L_MAX, L_MAX, out=llr)
 
     if isinstance(decoder, EnsembleConfig):
         if decoder.resample_per_frame:
@@ -442,6 +447,9 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
                 break
             lo = hi
     else:
+        # imported only here: the pool's modules (multiprocessing, socket,
+        # subprocess) would add about 20 ms to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             pending = {}
             next_submit = 0

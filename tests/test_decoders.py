@@ -1,5 +1,10 @@
 """SC, SCL and BP decoder behaviour, kernels and exact symmetries."""
 
+import gc
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +14,9 @@ from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       compile_tables, encode, enumerate_codebook, in_code,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
-from aedcodes.decoders import _g_update
+from aedcodes import decoders
+from aedcodes.decoders import CHUNK_ROWS, _boxplus_into, _g_update, _ScPlan
+from test_decoder_oracles import leaf_order_sc, random_decreasing
 
 
 def noiseless_llrs(codewords):
@@ -135,6 +142,141 @@ def test_sc_does_not_copy_its_input():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * llrs.nbytes
+
+
+# ---------------------------------------------------------------------------
+# SC plans: one compiled schedule kept across calls
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_boxplus_into_rounds_as_its_stable_formula(dtype):
+    # _boxplus_into (run by SCL, BP and boxplus) and SC's plans share one
+    # listing of calls, _boxplus_steps; its merged passes over the two
+    # temporaries must round as the formula written out, in BP's float32 too
+    rng = np.random.default_rng(19)
+    a, b = rng.normal(0.0, 4.0, (2, 64, 16)).astype(dtype)
+    a[::7] = 0.0
+    a[1::9] = -0.0
+    b[::5] = L_MAX
+    b[2::11] = -3e13
+    s, d = np.abs(a + b), np.abs(a - b)
+    ref = (s - d) * 0.5 + (np.log1p(np.exp(-s)) - np.log1p(np.exp(-d)))
+    out = _boxplus_into(a, b, np.empty_like(a))
+    assert ref.dtype == out.dtype == dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+def plan_cases():
+    """(spec, llrs) at 1, 3, 128 and 600 rows for RM(4,8) and a random
+    decreasing code of length 64 with rate-0, rate-1, repetition and mixed
+    nodes."""
+    rng = np.random.default_rng(20)
+    codes = [rm_code(4, 8), random_decreasing(6, np.random.default_rng(23))]
+    cases = []
+    for rows in (1, 3, 128, 600):
+        for spec in codes:
+            cases.append((spec, rng.normal(1.0, 2.5, (rows, spec.n))))
+    return cases
+
+
+_FRESH_DECODE = """
+import sys
+import numpy as np
+from aedcodes import polar_code, sc_decode_batch
+cases = np.load(sys.argv[1])
+outs = {}
+for i in reversed(range(len(cases.files) // 2)):
+    spec = polar_code(int(cases[f"m{i}"].size).bit_length() - 1, cases[f"m{i}"])
+    outs[f"u{i}"], outs[f"x{i}"] = sc_decode_batch(spec, cases[f"l{i}"])
+np.savez(sys.argv[2], **outs)
+"""
+
+
+def test_sc_plans_under_alternating_keys_match_oracle_and_fresh_process(tmp_path):
+    # every call with a new key builds a plan and every repeated key reuses
+    # the kept one; neither may change a bit against leaf order or against
+    # a process that decodes each case once
+    cases = plan_cases()
+    np.savez(tmp_path / "cases.npz",
+             **{f"m{i}": spec.frozen for i, (spec, _) in enumerate(cases)},
+             **{f"l{i}": llrs for i, (_, llrs) in enumerate(cases)})
+    subprocess.run([sys.executable, "-c", _FRESH_DECODE, str(tmp_path / "cases.npz"),
+                    str(tmp_path / "fresh.npz")], check=True, env=dict(os.environ))
+    fresh = np.load(tmp_path / "fresh.npz")
+    refs = [leaf_order_sc(spec, llrs) for spec, llrs in cases]
+    for _ in range(2):
+        for i, (spec, llrs) in enumerate(cases):
+            for _ in range(2):
+                u, x = sc_decode_batch(spec, llrs)
+                assert np.array_equal(u, fresh[f"u{i}"]) and np.array_equal(x, fresh[f"x{i}"])
+                u_ref, x_ref, tie = refs[i]
+                assert np.array_equal(u[~tie], u_ref[~tie]), (spec.label, len(llrs))
+                assert np.array_equal(x[~tie], x_ref[~tie]), (spec.label, len(llrs))
+    assert sum(int((~tie).sum()) for *_, tie in refs) > 9 * sum(int(tie.sum()) for *_, tie in refs)
+
+
+def test_sc_results_do_not_alias_the_kept_plan():
+    rng = np.random.default_rng(22)
+    for spec, rows in [(rm_code(4, 8), 1), (rm_code(2, 5), 5)]:
+        llrs = rng.normal(1.0, 2.0, (rows, spec.n))
+        u_ref, x_ref = (a.copy() for a in sc_decode_batch(spec, llrs))
+        u, x = sc_decode_batch(spec, llrs)
+        assert not np.shares_memory(x, decoders._kept_plan[1].x)
+        u ^= 1
+        x ^= 1
+        u, x = sc_decode_batch(spec, llrs)
+        assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref)
+
+
+def test_sc_concurrent_calls_match_single_thread():
+    # a plan is taken out of the cache while it runs; threads sharing one
+    # would overwrite each other's workspaces.  Three threads decode
+    # same-shape batches, 200 calls each, with thread switches forced often
+    spec = rm_code(4, 8)
+    batches = np.random.default_rng(23).normal(1.0, 2.0, (3, 16, spec.n))
+    refs = [sc_decode_batch(spec, llrs) for llrs in batches]
+    wrong = [0] * len(batches)
+    done = [0] * len(batches)
+    start = threading.Barrier(len(batches))
+
+    def decode(t):
+        start.wait()
+        for _ in range(200):
+            u, x = sc_decode_batch(spec, batches[t])
+            wrong[t] += not (np.array_equal(u, refs[t][0]) and np.array_equal(x, refs[t][1]))
+            done[t] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=decode, args=(t,)) for t in range(len(batches))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [200] * len(batches) and wrong == [0] * len(batches)
+
+
+def test_sc_keeps_the_plan_of_the_last_call_up_to_chunk_rows():
+    spec = rm_code(3, 6)
+    rng = np.random.default_rng(24)
+    sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS, spec.n)))
+    key, plan = decoders._kept_plan
+    assert key == (spec.frozen.tobytes(), CHUNK_ROWS)
+    sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS, spec.n)))
+    assert decoders._kept_plan[1] is plan  # reused, not rebuilt
+    sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS + 1, spec.n)))
+    assert decoders._kept_plan is None
+
+
+def test_sc_keeps_at_most_one_plan():
+    for spec, llrs in plan_cases() + plan_cases()[::-1]:
+        sc_decode_batch(spec, llrs)
+        gc.collect()
+        assert sum(isinstance(o, _ScPlan) for o in gc.get_objects()) <= 1
+    assert decoders._kept_plan[0] == (spec.frozen.tobytes(), len(llrs))
 
 
 def test_scl_holds_no_per_path_copy_of_its_input():

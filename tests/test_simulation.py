@@ -1,5 +1,9 @@
 """Channel model, ML oracle and the Monte-Carlo harness."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -133,6 +137,29 @@ def test_run_mc_reproducible_and_worker_invariant():
                (other.frames, other.block_errors, other.bit_errors)
 
 
+_IMPORT_THEN_RUN = """
+import sys
+import aedcodes as ae
+assert "concurrent.futures.process" not in sys.modules
+spec = ae.rm_code(2, 5)
+ch = ae.ChannelConfig(2.0, spec.rate, seed=5)
+for workers in (1, 2):
+    rec = ae.run_mc(spec, ae.Sc(), ch, frames=600, target_errors=None, workers=workers)
+    print(rec.frames, rec.block_errors, rec.bit_errors, rec.stopped_by)
+"""
+
+
+def test_import_loads_no_process_pool_and_workers_still_agree():
+    """A plain import of the package leaves the process pool's modules
+    (multiprocessing, socket, subprocess) unloaded; run_mc imports them
+    only for workers > 1, and such a run still equals workers=1."""
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_THEN_RUN], capture_output=True,
+                          text=True, env=dict(os.environ), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    one, two = proc.stdout.splitlines()
+    assert one == two and one.startswith("600 ")
+
+
 def test_run_mc_starts_no_more_workers_than_chunks(monkeypatch):
     """workers=10_000 on a two-chunk run asks the pool for at most two
     processes.  The fake pool runs every chunk inline and starts none."""
@@ -153,7 +180,7 @@ def test_run_mc_starts_no_more_workers_than_chunks(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     spec = rm_code(2, 5)
     rec = run_mc(spec, Sc(), ChannelConfig(2.0, spec.rate, seed=5), frames=512,
                  target_errors=None, workers=10_000)
@@ -492,7 +519,7 @@ def test_run_mc_refuses_a_foreign_decoder_before_any_chunk(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(TypeError, match="decoder must be"):
         run_mc(spec, "sc", ch, frames=512, target_errors=None, workers=2)
     with pytest.raises(TypeError, match="unsupported decoder"):
