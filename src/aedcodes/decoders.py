@@ -4,23 +4,20 @@ All three decoders share the same LLR kernel primitives and the same graph
 layout: stage ``s`` pairs indices ``i`` and ``i + 2**s`` inside blocks of
 ``2**(s+1)``, so a length-N vector reshaped to ``(-1, 2, 2**s)`` exposes the
 upper/lower ports of every processing element as contiguous views.
-SC and BP keep their LLR workspaces batch-last, index by row, so that a
-node half or a stage slice is one contiguous run of batch values, and SC
-reads its channel stage as the view llrs.T of the caller's rows, with no
-copy.  SCL keeps its workspaces batch-first, one row per path, because it
-gathers paths by row; a frame's paths stay in its block of L rows, so SCL
-reads the channel stage per frame and never copies it per path.  The
-g-update looks its signs up from a two-entry table straight into its
-output, not as float sign arrays.
+SC and BP keep their LLR workspaces batch-last, so that a node half or a
+stage slice is one contiguous run of batch values, and SC reads its
+channel stage as the view llrs.T of the caller's rows.  SCL keeps its
+workspaces batch-first, one row per path, because it gathers paths by
+row, and reads the channel stage per frame, never copied per path.
 
-SC decodes a node of the decoding tree directly when the frozen pattern
-allows: a rate-0 node (all leaves frozen) gives x = 0, a rate-1 node (no
-leaf frozen) gives the hard decision x = (L < 0), and a repetition node
-(only its last leaf unfrozen) folds its LLRs by halving sums and repeats
-the sign of the result.  Only mixed nodes are split into f- and g-updates.
-This equals leaf-order SC except on LLR ties inside rate-1 nodes (see
-sc_decode_batch).  SCL keeps the leaf-order schedule, because its path
-metric needs every leaf LLR, frozen or not.
+SC and SCL walk the same node schedule (_sc_schedule): a rate-0 node (all
+leaves frozen), a rate-1 node (no leaf frozen) and a repetition node (only
+its last leaf unfrozen) are decided whole, and only mixed nodes are split
+into f- and g-updates.  SC takes x = 0, the hard decision x = (L < 0), or
+repeats the sign of the node's LLRs folded by halving sums; this equals
+leaf-order SC except on LLR ties inside rate-1 nodes (see
+sc_decode_batch).  SCL scores whole nodes by its exact path metric and
+forks at repetition and rate-1 nodes (see _decide).
 
 SC compiles its node schedule once per (frozen pattern, rows) into a plan,
 a flat list of ufunc calls on workspaces the plan owns, since at the few
@@ -330,23 +327,25 @@ def _g_steps(upper, lower, left_bits, out):
             (np.multiply, (out, upper, out)), (np.add, (out, lower, out))]
 
 
-# SC schedule ops, and the two node kinds that are not ops: a rate-0 node
-# needs none, as the codeword starts at zero, and a mixed node is split
-_F, _G, _COMBINE, _RATE1, _REP = range(5)
-_RATE0, _MIXED = -1, -2
+# schedule ops, and the node kind that is not one: a mixed node is split
+_F, _G, _COMBINE, _RATE1, _REP, _RATE0 = range(6)
+_MIXED = -1
 
 
 @functools.lru_cache(maxsize=64)
-def _sc_schedule(frozen: bytes) -> tuple[tuple[int, int, int, int, int], ...]:
+def _sc_schedule(frozen: bytes, rate0: bool = False
+                 ) -> tuple[tuple[int, int, int, int, int], ...]:
     """Node schedule of SC for a frozen pattern, as (op, s, lo, mid, hi).
 
     The node at stage s covers leaves lo..hi-1, holds its LLRs in workspace
     s and splits at mid.  Only mixed nodes are descended into.  A mixed node
     runs an f-update before a left child that is not rate-0, and a g-update
     before a right child that is not rate-0.  After the right child,
-    COMBINE xors the right half of x into the left half.  Keyed by
-    frozen.tobytes(), so each pattern's schedule is built on its first
-    decode.
+    COMBINE xors the right half of x into the left half.  SC needs no
+    rate-0 node, as its codeword starts at zero; with `rate0`, for SCL's
+    path metric, rate-0 nodes are ops too and are updated into like any
+    child.  Keyed by frozen.tobytes(), so each pattern's schedule is built
+    on its first decode.
     """
     mask = np.frombuffer(frozen, dtype=bool)
     info_before = np.concatenate([[0], np.cumsum(~mask)])
@@ -365,14 +364,14 @@ def _sc_schedule(frozen: bytes) -> tuple[tuple[int, int, int, int, int], ...]:
     def visit(s, lo, hi):
         node = kind(lo, hi)
         if node != _MIXED:
-            if node != _RATE0:
+            if rate0 or node != _RATE0:
                 ops.append((node, s, lo, lo, hi))
             return
         mid = (lo + hi) >> 1
-        if kind(lo, mid) != _RATE0:
+        if rate0 or kind(lo, mid) != _RATE0:
             ops.append((_F, s, lo, mid, hi))
             visit(s - 1, lo, mid)
-        if kind(mid, hi) != _RATE0:
+        if rate0 or kind(mid, hi) != _RATE0:
             ops.append((_G, s, lo, mid, hi))
             visit(s - 1, mid, hi)
             ops.append((_COMBINE, s, lo, mid, hi))
@@ -389,35 +388,35 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     """SCL-decode a (F, N) batch; returns (u, x, pm) shaped (F, L, N) twice
     and (F, L), metric-sorted per frame.
 
-    The metric is the exact log-likelihood penalty, accumulated at every
-    leaf: pm += log(1 + exp(-(1-2u) * L)).  list_size=1 reproduces
-    sc_decode_batch bit-exactly, away from the rate-1 LLR ties that its
-    docstring describes.
+    The metric is the exact log-likelihood penalty of a path's codeword x,
+    sum_i ln(1 + exp(-(1 - 2x_i) lambda_i)) over the channel LLRs lambda,
+    accumulated node by node on SC's schedule with its rate-0 nodes: a node
+    with LLRs alpha and codeword x_v adds that sum over alpha and x_v.
+    Mixed nodes run f- and g-updates; the others are decided whole
+    (_decide).  list_size=1 reproduces sc_decode_batch, away from ties of a
+    repetition node's two metrics.
 
-    Leaf-order SC on F*L path rows, the L paths of frame f in rows
-    f*L .. f*L+L-1.  Stage s < m has an LLR workspace and a partial-sum
-    workspace of 2**s columns.  Each workspace has its own row map from
-    path to stored row, so a fork only composes the maps and copies no
-    data.  A stage is gathered through its map when it is read, and a write
+    Runs on F*L path rows, frame f's L paths in rows f*L .. f*L+L-1.
+    Stage s < m has an LLR workspace of 2**s columns, and the last left
+    child decoded at stage s leaves its codeword in bits[s].  Each has a
+    row map from path to stored row: a node's forks compose the maps once
+    and copy no data, a read gathers a stage through its map, and a write
     replaces all of its rows.  The channel stage is the caller's (F, N)
-    rows, read per frame and never copied per path: at phi = 0 its f-update
-    runs once per frame and is broadcast to the frame's paths, and at
-    phi = N/2 its halves are broadcast against each path's partial sums.
-    Path bits are not stored: u = polar_transform(x).  Unused path slots
-    start at metric +inf and are displaced as soon as real forks appear.
+    rows, read per frame and never copied per path (its f-update runs per
+    frame, its g-update broadcasts against each path's bits), unless the
+    whole code is one rate-0, rate-1 or repetition node.  Path bits
+    are not stored: u = polar_transform(x).  Unused slots start at metric
+    +inf and are displaced as soon as real forks appear.
     """
-    if list_size < 1:
-        raise ValueError(f"list_size must be >= 1, got {list_size}")
+    check_count("list_size", list_size)
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
     _check_rows(spec, llrs)
     fsz, n = llrs.shape
     m, lsize = spec.m, list_size
     rows = fsz * lsize
-    frame_rows = np.arange(fsz)[:, None]
-    frame_base = frame_rows * lsize
+    forks = _Forks(fsz, lsize)
     llr_ws = [np.empty((rows, 1 << s)) for s in range(m)]
-    bits = [np.zeros((rows, 1 << s), np.uint8) for s in range(m)]
-    work = [np.empty((rows, 1 << s), np.uint8) for s in range(m + 1)]
+    bits = [None] * m
     # row maps, None where path row i is stored row i.  A fork only
     # permutes rows within a frame, so path row r always belongs to frame
     # r // L, and a stage reshaped to (F, L, 2**s) lines up with llrs[:, None]
@@ -430,72 +429,120 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
         return ws[s]
 
     def by_frame(stage):
-        return stage.reshape(fsz, lsize, -1)
+        return stage.reshape(fsz, lsize, stage.shape[1])
 
     pm = np.full((fsz, lsize), np.inf)
     pm[:, 0] = 0.0
-    x_final = None
-    for phi in range(n):
-        if phi == 0:
-            top = m - 1
-            if m:  # a frame's paths are all one path: f-update its row once
-                half = boxplus(llrs[:, : n >> 1], llrs[:, n >> 1:])
-                by_frame(llr_ws[m - 1])[:] = half[:, None]
-        else:
-            low = (phi & -phi).bit_length() - 1
-            h = 1 << low
-            if low == m - 1:
-                _g_update(llrs[:, None, :h], llrs[:, None, h:],
-                          by_frame(read(bits, bits_map, low)), by_frame(llr_ws[low]))
+    for op, s, lo, mid, hi in _sc_schedule(spec.frozen.tobytes(), True):
+        h = mid - lo
+        if op == _F or op == _G:
+            # the channel stage is one row per frame, broadcast to its paths
+            node = llrs[:, None] if s == m else by_frame(read(llr_ws, llr_map, s))
+            out, llr_map[s - 1] = by_frame(llr_ws[s - 1]), None
+            if op == _G:
+                _g_update(node[..., :h], node[..., h:],
+                          by_frame(read(bits, bits_map, s - 1)), out)
+            elif s == m:  # a frame's paths are all one path here
+                _boxplus_into(node[..., :h], node[..., h:], out[:, :1])
+                out[:, 1:] = out[:, :1]
             else:
-                node = read(llr_ws, llr_map, low + 1)
-                _g_update(node[:, :h], node[:, h:], read(bits, bits_map, low),
-                          llr_ws[low])
-            llr_map[low] = None
-            top = low
-        for s in range(top, 0, -1):
-            h = 1 << (s - 1)
-            node = read(llr_ws, llr_map, s)
-            _boxplus_into(node[:, :h], node[:, h:], llr_ws[s - 1])
-            llr_map[s - 1] = None
-        if m:
-            leaf = read(llr_ws, llr_map, 0)[:, 0].reshape(fsz, lsize)
-        else:  # N = 1: the leaf is the channel itself
-            leaf = np.broadcast_to(llrs, (fsz, lsize))
-        # log(1 + exp(-+leaf)) split into max(...) plus a shared correction;
-        # each fork's penalty is formed independently so that a large leaf
-        # magnitude cannot swallow the accumulated metric by cancellation
-        corr = np.log1p(np.exp(-np.abs(leaf)))
-        pen0 = corr + np.maximum(-leaf, 0.0)
-        if spec.frozen[phi]:
-            pm = pm + pen0
-            u = np.zeros((rows, 1), np.uint8)
-        else:
-            pen1 = corr + np.maximum(leaf, 0.0)
-            cand = np.concatenate([pm + pen0, pm + pen1], axis=1)
-            order = np.argsort(cand, axis=1, kind="stable")[:, :lsize]
-            pm = cand[frame_rows, order]
-            sel = (frame_base + order % lsize).ravel()
-            for maps in (llr_map, bits_map):
-                for s, rows_s in enumerate(maps):
-                    maps[s] = sel if rows_s is None else rows_s[sel]
-            u = (order >= lsize).astype(np.uint8).reshape(rows, 1)
-        x, s, t = u, 0, phi
-        while t & 1:
-            buf = work[s + 1]
-            np.bitwise_xor(read(bits, bits_map, s), x, out=buf[:, : 1 << s])
-            buf[:, 1 << s:] = x
-            x, s, t = buf, s + 1, t >> 1
-        if s == m:
-            x_final = x.copy()
-        else:
-            np.copyto(bits[s], x)
-            bits_map[s] = None
+                _boxplus_into(node[..., :h], node[..., h:], out)
+            continue
+        if op == _COMBINE:
+            x = np.empty((rows, 2 * h), np.uint8)
+            np.bitwise_xor(read(bits, bits_map, s - 1), right, out=x[:, :h])
+            x[:, h:] = right
+        else:  # a code that is one such node repeats its channel per path
+            alpha = np.repeat(llrs, lsize, axis=0) if s == m else read(llr_ws, llr_map, s)
+            pm, x, sel = _decide(op, alpha, pm, forks)
+            for t in range(s, m) if sel is not None else ():
+                # compose the maps of what is read again: from stage s up,
+                # the bits of a left sibling at stage t, or the LLRs of a
+                # node at stage t + 1 whose right child is still to come
+                maps, t = (bits_map, t) if lo >> t & 1 else (llr_map, t + 1)
+                if t < m:
+                    maps[t] = sel if maps[t] is None else maps[t][sel]
+        if s < m and lo >> s & 1:
+            right = x
+        elif s < m:
+            bits[s], bits_map[s] = x, None
 
     order = np.argsort(pm, axis=1, kind="stable")
-    sel = (frame_base + order).reshape(-1)
-    x_srt = x_final[sel].reshape(fsz, lsize, n)
+    x_srt = x[(forks.base + order).ravel()].reshape(fsz, lsize, n)
     return polar_transform(x_srt), x_srt, np.take_along_axis(pm, order, axis=1)
+
+
+def _fold(v):
+    """Sum over the last axis, of power-of-two length, by halving sums."""
+    while v.shape[-1] > 1:
+        h = v.shape[-1] >> 1
+        v = v[..., :h] + v[..., h:]
+    return v[..., 0]
+
+
+class _Forks:
+    """The 2L candidates of each of F frames' L paths: path i's first and
+    second in columns i and L + i of (F, 2L)."""
+
+    def __init__(self, fsz: int, lsize: int):
+        paths = np.arange(fsz * lsize).reshape(fsz, lsize)
+        self.base = paths[:, :1]  # each frame's first path row
+        self.row = np.concatenate([paths, paths], axis=1).ravel()
+        self.second = np.arange(2 * fsz * lsize) % (2 * lsize) >= lsize
+
+    def keep(self, first, second):
+        """Keep the best L candidates of each frame, by metrics first and
+        second (F, L) in a stable sort (a tie keeps the first).  Returns
+        their metrics in order, the row each extends and whether it is
+        that row's second."""
+        cand = np.concatenate([first, second], axis=1)
+        taken = cand.argsort(axis=1, kind="stable")[:, :first.shape[1]] + 2 * self.base
+        flat = taken.ravel()
+        return cand.ravel()[taken], self.row[flat], self.second[flat]
+
+
+_NEG_POS = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _decide(op, alpha, pm, forks):
+    """Decide a node whole from its path LLRs alpha (F*L, N_v) and path
+    metrics pm (F, L); returns the new metrics, the path codewords and, if
+    it forked, the row each path extends.  Sums over a node are halving
+    folds.  A rate-0 node adds sum_j ln(1 + e^-alpha_j); a repetition node
+    gives each path its two codewords; a rate-1 node adds
+    sum_j ln(1 + e^-|alpha_j|), takes the hard decision and forks
+    min(L - 1, N_v) times on its least reliable bits in turn, a flip of
+    bit j costing |alpha_j| more, as ln(1 + e^a) - ln(1 + e^-a) = a
+    (Hashemi, Condo and Gross, IEEE TSP 2017)."""
+    shape, (rows, nv) = pm.shape, alpha.shape
+    mag = np.abs(alpha)
+    corr = np.log1p(np.exp(-mag))  # ln(1 + e^-|alpha|)
+    if op != _RATE1:  # the penalties of x = 0 and x = 1, folded at once
+        pen = np.maximum(alpha * _NEG_POS, 0.0)
+        pen += corr
+        pen = _fold(pen).reshape((2,) + shape)
+        if op == _RATE0:
+            return pm + pen[0], np.zeros((rows, nv), np.uint8), None
+        pm, row, one = forks.keep(pm + pen[0], pm + pen[1])
+        return pm, np.repeat(one.view(np.uint8)[:, None], nv, axis=1), row
+    pm = pm + _fold(corr).reshape(shape)
+    x = alpha < 0
+    nflips = min(shape[1] - 1, nv)
+    if not nflips:
+        return pm, x.view(np.uint8), None
+    pos = np.argsort(mag, axis=1, kind="stable")[:, :nflips]
+    cost = np.sort(mag, axis=1)[:, :nflips].T.copy()  # cost[t] of each row
+    origin = np.arange(rows)  # the row of alpha each path extends
+    flips = np.zeros((rows, nflips), bool)
+    for t in range(nflips):
+        pm, row, flip = forks.keep(pm, pm + cost[t][origin].reshape(shape))
+        origin, flips = origin[row], flips[row]
+        flips[:, t] = flip
+        if not flip.any():  # then no later fork is taken: its flips cost no less
+            break
+    x = x[origin]
+    x[np.arange(rows)[:, None], pos[origin]] ^= flips
+    return pm, x.view(np.uint8), origin
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +568,7 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
     workspace holds all B rows at first; run_mc bounds the rows of a call
     (CHUNK_ROWS).
     """
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    check_count("max_iters", max_iters)
     llrs = np.asarray(llrs)
     _check_rows(spec, llrs)
     bsz, n = llrs.shape

@@ -1,11 +1,18 @@
-"""The SC and SCL kernels against leaf-order reference decoders.
+"""The SC and SCL kernels against reference decoders.
 
-The references below are the leaf-order kernels the library used before
-SC pruned its tree at rate-0, rate-1 and repetition nodes and SCL stopped
-copying whole path workspaces.  They compute the g-update inline with the
-float sign formula (1 - 2*bits) * upper + lower, independently of the
-library's sign lookup.  SCL must match its reference bit for bit
-everywhere.  SC must match everywhere except on ties inside rate-1 nodes,
+leaf_order_sc and leaf_order_scl are the leaf-order kernels the library
+used before SC pruned its tree at rate-0, rate-1 and repetition nodes and
+SCL moved onto SC's node schedule.  node_order_scl is an independent,
+recursive statement of the node rules the SCL kernel follows, on per-path
+copies that every fork gathers at once.  The references compute the
+g-update inline with the float sign formula (1 - 2*bits) * upper + lower,
+independently of the library's sign lookup.
+
+SCL must match node_order_scl bit for bit everywhere.  Leaf order prunes
+a node's paths on the partial metrics of its leaves, node order on the
+node's whole codewords, so their lower slots differ and, rarely, their
+best paths do too; on a fixed set of noisy frames the best paths match.
+SC must match leaf order everywhere except on ties inside rate-1 nodes,
 where the pruned kernel takes the hard decision; the SC reference flags
 the rows on which such a tie occurred.
 """
@@ -13,9 +20,9 @@ the rows on which such a tie occurred.
 import numpy as np
 import pytest
 
-from aedcodes import (L_MAX, encode, index_to_monomial_mask, is_decreasing,
-                      monomial_leq, polar_code, rm_code, saturate,
-                      sc_decode_batch, scl_decode_batch)
+from aedcodes import (L_MAX, boxplus, encode, index_to_monomial_mask,
+                      is_decreasing, monomial_leq, polar_code, polar_transform,
+                      rm_code, saturate, sc_decode_batch, scl_decode_batch)
 from aedcodes.decoders import _F, _G, _RATE1, _REP, _boxplus_into, _sc_schedule
 
 
@@ -151,6 +158,100 @@ def leaf_order_scl(spec, llrs, list_size):
     return u_srt, x_srt, np.take_along_axis(pm, order, axis=1)
 
 
+def node_kind(frozen, lo, hi):
+    info = int(np.count_nonzero(~frozen[lo:hi]))
+    if info == 0:
+        return "rate-0"
+    if info == hi - lo:
+        return "rate-1"
+    if info == 1 and not frozen[hi - 1]:
+        return "repetition"
+    return "mixed"
+
+
+def halving_sum(v):
+    """Row sums of v (rows, 2**s): v[:, :h] + v[:, h:] until one column is
+    left."""
+    while v.shape[1] > 1:
+        h = v.shape[1] // 2
+        v = v[:, :h] + v[:, h:]
+    return v[:, 0]
+
+
+def softplus(v):
+    """ln(1 + e^v), as ln(1 + e^-|v|) + max(v, 0)."""
+    return np.log1p(np.exp(-np.abs(v))) + np.maximum(v, 0.0)
+
+
+def node_order_scl(spec, llrs, list_size):
+    """SCL on the decoding tree, node by node, recursively.
+
+    A mixed node is split by an f- and a g-update; rate-0, repetition and
+    rate-1 nodes are decided whole.  A node with path LLRs alpha adds
+    sum_j ln(1 + exp(-(1 - 2x_j) alpha_j)) of its codeword x to the path
+    metric, summed by halving.  A repetition node gives each path its two
+    codewords.  A rate-1 node adds sum_j ln(1 + e^-|alpha_j|), takes the
+    hard decision and then, for t < min(L - 1, N_v), gives each path a
+    second candidate with its t-th least reliable bit flipped, at |alpha|
+    of that bit more.  Every fork keeps the L best of the 2L candidates
+    (stable sort, the unflipped first) and gathers every per-path array at
+    once.  The channel LLRs are repeated per path.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    fsz, n = llrs.shape
+    rows = fsz * list_size
+    base = np.arange(fsz)[:, None] * list_size
+    pm = np.full((fsz, list_size), np.inf)
+    pm[:, 0] = 0.0
+    state = {"pm": pm}
+
+    def fork(first, second):
+        cand = np.concatenate([first, second], axis=1)
+        order = np.argsort(cand, axis=1, kind="stable")[:, :list_size]
+        state["pm"] = np.take_along_axis(cand, order, axis=1)
+        return (base + order % list_size).ravel(), (order >= list_size).ravel()
+
+    def metric(v):
+        return halving_sum(v).reshape(fsz, list_size)
+
+    def decode(alpha, lo):
+        """(codewords, extended rows) of the node at leaves lo.. with path
+        LLRs alpha (rows, N_v)."""
+        nv = alpha.shape[1]
+        kind = node_kind(spec.frozen, lo, lo + nv)
+        pm = state["pm"]
+        if kind == "mixed":
+            h = nv // 2
+            x_left, sel = decode(boxplus(alpha[:, :h], alpha[:, h:]), lo)
+            alpha = alpha[sel]
+            x_right, sel_right = decode(
+                (1.0 - 2.0 * x_left) * alpha[:, :h] + alpha[:, h:], lo + h)
+            x_left = x_left[sel_right]
+            return np.concatenate([x_left ^ x_right, x_right], axis=1), sel[sel_right]
+        if kind == "rate-0":
+            state["pm"] = pm + metric(softplus(-alpha))
+            return np.zeros((rows, nv), np.uint8), np.arange(rows)
+        if kind == "repetition":
+            sel, one = fork(pm + metric(softplus(-alpha)), pm + metric(softplus(alpha)))
+            return np.repeat(one[:, None], nv, axis=1).astype(np.uint8), sel
+        state["pm"] = pm + metric(np.log1p(np.exp(-np.abs(alpha))))
+        x = (alpha < 0).astype(np.uint8)
+        mag = np.abs(alpha)
+        least = np.argsort(mag, axis=1, kind="stable")
+        sel = np.arange(rows)
+        for t in range(min(list_size - 1, nv)):
+            flip_cost = mag[np.arange(rows), least[:, t]].reshape(fsz, list_size)
+            parent, flip = fork(state["pm"], state["pm"] + flip_cost)
+            x, mag, least, sel = x[parent], mag[parent], least[parent], sel[parent]
+            x[np.arange(rows), least[:, t]] ^= flip
+        return x, sel
+
+    x, _ = decode(np.repeat(llrs, list_size, axis=0), 0)
+    order = np.argsort(state["pm"], axis=1, kind="stable")
+    x = x[(base + order).ravel()].reshape(fsz, list_size, n)
+    return polar_transform(x), x, np.take_along_axis(state["pm"], order, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # codes and inputs
 
@@ -263,24 +364,56 @@ def test_sc_schedule_terminal_codes():
 
 @pytest.mark.parametrize("r,m", [(2, 5), (3, 7), (4, 8)])
 @pytest.mark.parametrize("list_size", [1, 2, 8, 32])
-def test_scl_matches_leaf_order_reference(r, m, list_size):
+def test_scl_matches_node_order_reference(r, m, list_size):
     spec = rm_code(r, m)
     rng = np.random.default_rng(79 + m + list_size)
     rows = 12 if list_size == 32 else 24
     for name, llrs in oracle_inputs(spec, rows, rng):
         got = scl_decode_batch(spec, llrs, list_size)
-        want = leaf_order_scl(spec, llrs, list_size)
+        want = node_order_scl(spec, llrs, list_size)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), (name, list_size)
 
 
-def test_scl_matches_leaf_order_reference_on_other_codes():
+def test_scl_matches_node_order_reference_on_other_codes():
     rng = np.random.default_rng(80)
     for spec in oracle_codes():
         if spec.m > 6:
             continue
         for name, llrs in oracle_inputs(spec, 8, rng):
             got = scl_decode_batch(spec, llrs, 4)
-            want = leaf_order_scl(spec, llrs, 4)
+            want = node_order_scl(spec, llrs, 4)
             for a, b in zip(got, want):
                 assert np.array_equal(a, b), (spec.label, name)
+
+
+def noisy_frames(spec, ebn0_db, rows, rng):
+    x = encode(spec, rng.integers(0, 2, (rows, spec.k), dtype=np.uint8))
+    sigma = 1.0 / np.sqrt(2.0 * spec.rate * 10 ** (ebn0_db / 10))
+    return 2.0 * (1.0 - 2.0 * x + rng.normal(0.0, sigma, x.shape)) / sigma ** 2
+
+
+@pytest.mark.parametrize("decoder", [scl_decode_batch, leaf_order_scl])
+@pytest.mark.parametrize("r,m", [(2, 5), (3, 7), (4, 8)])
+def test_scl_metric_is_the_codeword_likelihood(decoder, r, m):
+    # -ln P(x | y) = sum_i ln(1 + exp(-(1 - 2x_i) lambda_i)), which both
+    # schedules accumulate exactly up to rounding
+    spec = rm_code(r, m)
+    rng = np.random.default_rng(81 + m)
+    for ebn0_db in (1.0, 2.5):
+        llrs = noisy_frames(spec, ebn0_db, 16, rng)
+        _, x, pm = decoder(spec, llrs, 8)
+        want = softplus(-(1.0 - 2.0 * x) * llrs[:, None]).sum(axis=2)
+        finite = np.isfinite(pm)
+        assert finite.any()
+        err = np.abs(pm - want)[finite]
+        assert np.all(err <= 1e-12 * want[finite]), (ebn0_db, decoder)
+
+
+@pytest.mark.parametrize("list_size", [8, 32])
+def test_scl_best_path_matches_leaf_order_on_noisy_frames(list_size):
+    spec = rm_code(4, 8)
+    llrs = noisy_frames(spec, 2.5, 48, np.random.default_rng(82))
+    _, x, _ = scl_decode_batch(spec, llrs, list_size)
+    _, x_ref, _ = leaf_order_scl(spec, llrs, list_size)
+    assert np.array_equal(x[:, 0], x_ref[:, 0])

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
-                      compile_tables, encode, enumerate_codebook, in_code,
+                      compile_tables, decode_branches, encode,
+                      enumerate_codebook, in_code,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
 from aedcodes import decoders
@@ -127,12 +128,13 @@ def test_sc_output_independent_of_input_layout():
 
 
 def test_sc_does_not_copy_its_input():
-    # At its peak, an f- or g-update at stage m, the kernel holds per row
-    # of N LLRs (8N bytes): the workspaces of stages 0..m-1, 8(N-1) bytes;
-    # the codeword, N bytes; and two half-stage temporaries, 8N bytes.
-    # That is 2.125 times llrs.nbytes (x_hat and u_hat, N bytes each, come
-    # after the temporaries are freed); a copy of the channel stage would
-    # add 1 more.
+    # The kernel's plan holds per row of N LLRs (8N bytes): the workspaces
+    # of stages 0..m-1, 8(N-1) bytes; the scratch of boxplus and the sign
+    # indices, 8N bytes; and the codeword, N bytes.  At its peak x_hat, N
+    # bytes, is copied out while the plan is alive: about 2.25 times
+    # llrs.nbytes (tracemalloc reads 2.26; u_hat comes after the plan, not
+    # kept at this many rows, is freed).  A copy of the channel stage
+    # would add 1 more.
     spec = rm_code(4, 8)
     llrs = np.random.default_rng(16).normal(1.0, 2.0, (8192, spec.n))
     tracemalloc.start()
@@ -281,13 +283,14 @@ def test_sc_keeps_at_most_one_plan():
 
 def test_scl_holds_no_per_path_copy_of_its_input():
     # In units of F*L*N*8 bytes (one float64 LLR per path and code bit), the
-    # kernel holds the LLR workspaces of stages 0..m-1, (N-1)/N; the
-    # partial sums of stages 0..m-1 and the combine buffers of stages
-    # 0..m, uint8, (3N-2)/(8N); and at its peak either an f-update at
-    # stage m-1 (two quarter-stage temporaries, 0.5) or a g-update into
-    # stage m-1 (the sign lookup's intp index, 0.5, and the uint8 bits
-    # gathered).  That is about 2 units.  A per-path copy
-    # of the channel stage would add 1, and float sign arrays about 0.5.
+    # kernel holds the LLR workspaces of stages 0..m-1, (N-1)/N, and the
+    # uint8 codewords of left children and of the node being combined,
+    # about 0.2.  At its peak one of 0.5 more: the second copy of stage m-1
+    # that a read through its row map gathers, the two quarter-stage
+    # temporaries of the f-update out of it, or the sign lookup's intp
+    # index in the g-update into it.  That is about 1.7 units (tracemalloc
+    # reads 1.71).  A per-path copy of the channel stage would add 1, and
+    # float sign arrays about 0.5.
     spec = rm_code(4, 8)
     fsz, lsize = 64, 32
     llrs = np.random.default_rng(17).normal(1.0, 2.0, (fsz, spec.n))
@@ -359,8 +362,8 @@ def test_lta_preserves_msb_separation():
 # SCL
 
 def test_scl_list_one_is_sc():
-    # RM(3,7) and RM(4,8) have rate-1 and repetition nodes at stage 3 and
-    # up, which SC decides directly and SCL walks leaf by leaf
+    # both decide rate-1 and repetition nodes whole, SC by the hard
+    # decision and the sign of the folded LLRs, SCL-1 by its two metrics
     rng = np.random.default_rng(8)
     for r, m, rows in [(2, 5, 10000), (3, 7, 2000), (4, 8, 1000)]:
         spec = rm_code(r, m)
@@ -494,6 +497,38 @@ def test_kernels_take_only_rows_of_n_llrs(kernel, shape):
     is a batch of one, llr[None]."""
     with pytest.raises(ValueError, match=r"N=8\b"):
         KERNELS[kernel](rm_code(1, 3), np.zeros(shape))
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_kernels_decode_zero_rows(kernel):
+    # SCL returns its L slots of no frames, (0, L, N) twice and (0, L)
+    spec = rm_code(2, 5)
+    outs = KERNELS[kernel](spec, np.zeros((0, spec.n)))
+    want = (0, 2, spec.n) if kernel == "scl" else (0, spec.n)
+    assert outs[0].shape == outs[1].shape == want
+    assert outs[0].dtype == outs[1].dtype == np.uint8
+    for per_row in outs[2:]:  # SCL's metrics, BP's iterations and convergence
+        assert per_row.shape == want[:-1]
+
+
+def test_decode_branches_with_scl_on_zero_frames():
+    spec = rm_code(2, 5)
+    tables = compile_tables([sample(5, "ga", np.random.default_rng(25)) for _ in range(3)])
+    x, branch, iters, valid = decode_branches(spec, np.zeros((0, spec.n)), tables, Scl(2))
+    assert x.shape == (0, 6, spec.n)
+    assert branch.shape == iters.shape == valid.shape == (0, 6)
+
+
+def test_kernels_refuse_counts_that_are_not_integers():
+    # the kernels check their counts as the configs do (check_count)
+    spec, llrs = rm_code(1, 3), np.zeros((1, 8))
+    for bad in (True, 2.0, "2"):
+        with pytest.raises(TypeError, match="list_size must be an integer >= 1"):
+            scl_decode_batch(spec, llrs, bad)
+        with pytest.raises(TypeError, match="max_iters must be an integer >= 1"):
+            bp_decode_batch(spec, llrs, bad, True)
+    assert scl_decode_batch(spec, llrs, np.int64(2))[2].shape == (1, 2)
+    assert bp_decode_batch(spec, llrs, np.int32(2), True)[2].shape == (1,)
 
 
 def test_decoder_config_validation():
