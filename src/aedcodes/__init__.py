@@ -19,4 +19,4 @@ from .ensemble import (EnsembleConfig, VerificationReport,
 from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, decode_branches,
                          format_csv_row, ml_decode_oracle, run_mc, transmit)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -6,7 +6,8 @@ layout: stage ``s`` pairs indices ``i`` and ``i + 2**s`` inside blocks of
 upper/lower ports of every processing element as contiguous views.
 SC and BP keep their LLR workspaces batch-last, so that a node half or a
 stage slice is one contiguous run of batch values, and SC reads its
-channel stage as the view llrs.T of the caller's rows.  SCL keeps its
+channel stage as the view llrs.T of the caller's rows when they have its
+dtype (float64, or float32 in run_mc; see sc_decode_batch).  SCL keeps its
 workspaces batch-first, one row per path, because it gathers paths by
 row, and reads the channel stage per frame, never copied per path.
 
@@ -19,15 +20,16 @@ leaf-order SC except on LLR ties inside rate-1 nodes (see
 sc_decode_batch).  SCL scores whole nodes by its exact path metric and
 forks at repetition and rate-1 nodes (see _decide).
 
-SC compiles its node schedule once per (frozen pattern, rows) into a plan,
-a flat list of ufunc calls on workspaces the plan owns, since at the few
-hundred rows of an ensemble chunk the cost of numpy's calls, not their
-arithmetic, bounds it.  The plan of the last call is kept for the next
-when it has at most CHUNK_ROWS rows, which holds about 17 bytes per row and
-code bit (2.2 MB for RM(4,8) at 512 rows); a call takes it out while it
-runs, so concurrent and re-entrant calls build their own.  Boxplus and
-the g-update each have one listing of calls (_boxplus_steps, _g_steps):
-SC's plans keep them, and SCL, BP and boxplus run them at once.
+SC compiles its node schedule once per (frozen pattern, rows, dtype) into
+a plan, a flat list of ufunc calls on workspaces the plan owns, since at
+the few hundred rows of an ensemble chunk the cost of numpy's calls bounds
+it as much as their arithmetic.  The plan of the last call is kept for the
+next when it has at most CHUNK_ROWS rows, which holds about 17 bytes per
+row and code bit in float64 and 9 in float32 (2.2 and 1.2 MB for RM(4,8)
+at 512 rows); a call takes it out while it runs, so concurrent and
+re-entrant calls build their own.  Boxplus and the g-update each have one
+listing of calls (_boxplus_steps, _g_steps): SC's plans keep them, and
+SCL, BP and boxplus run them at once.
 
 Decoders are deterministic pure functions; batched kernels process rows
 independently, so per-row results never depend on how calls are batched
@@ -175,8 +177,10 @@ def _check_rows(spec: CodeSpec, llrs: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # successive cancellation
 
-def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """SC-decode a (B, N) batch of LLR rows; returns (u_hat, x_hat) bits.
+def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray, dtype=np.float64
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """SC-decode a (B, N) batch of LLR rows in `dtype` (float64 or float32);
+    returns (u_hat, x_hat) bits.
 
     u_hat is the full-length message with frozen positions zeroed; restrict
     it to spec.info_indices for the k information bits.
@@ -184,30 +188,40 @@ def sc_decode_batch(spec: CodeSpec, llrs: np.ndarray) -> tuple[np.ndarray, np.nd
     Runs the node schedule of spec's frozen pattern (see _sc_schedule):
     f- and g-updates only inside mixed nodes, and one direct decision per
     rate-0, rate-1 or repetition node.  The schedule is compiled, per
-    frozen pattern and row count B, into a plan (_ScPlan): a flat list of
-    ufunc calls on workspaces the plan owns, one LLR workspace per stage
-    stored batch-last as (2**s, B), so every node half and every codeword
-    slice is one contiguous run.  The channel stage is read as the view
-    llrs.T, bound to the plan's calls anew on every call, never copied.
-    The codeword is assembled in place as (N, B) and copied out transposed,
-    so both results are fresh C-contiguous (B, N) uint8 arrays, and u_hat
-    is polar_transform(x_hat), since G_N is an involution.
+    frozen pattern, row count B and dtype, into a plan (_ScPlan): a flat
+    list of ufunc calls on workspaces the plan owns, one LLR workspace per
+    stage stored batch-last as (2**s, B), so every node half and every
+    codeword slice is one contiguous run.  The channel stage is the view
+    llrs.T when llrs has the dtype already, and otherwise one C-contiguous
+    (N, B) copy in it; either way it is bound to the plan's calls anew on
+    every call.  A caller that holds its rows batch-last, as an (N, B)
+    array c, passes c.T and SC reads c itself.  The codeword is assembled
+    in place as (N, B) and copied out transposed, so both results are fresh
+    C-contiguous (B, N) uint8 arrays, and u_hat is polar_transform(x_hat),
+    since G_N is an involution.
 
     The plan of the most recent call is kept for the next one when B is at
-    most CHUNK_ROWS, and built again otherwise; it holds about 17 N B
-    bytes (2.2 MB for RM(4,8) at 512 rows).  A call takes the kept plan out
-    while it runs, so concurrent and re-entrant calls build their own.
+    most CHUNK_ROWS, and built again otherwise; it holds about
+    (2 itemsize + 1) N B bytes: 17 N B in float64 (2.2 MB for RM(4,8) at
+    512 rows) and 9 N B in float32.  A call takes the kept plan out while
+    it runs, so concurrent and re-entrant calls build their own.
 
-    The result equals leaf-order SC except on a tie inside a rate-1 node,
-    which takes the hard decision x = (L < 0).  Leaf order differs from it
-    only when an LLR inside the node is exactly zero (node LLRs (0.0, -5.0)
-    give x = (1, 1) in leaf order and (0, 1) here), or when a boxplus
-    loses its sign because its inputs differ in magnitude by a factor of
-    about 1e12 or more.
+    float32, which run_mc uses, rounds every boxplus and g-update to single
+    precision, so its decisions can differ from float64's on noisy rows; the
+    exact identities (symmetry, oddness, commutation with the lower-
+    triangular affine automorphisms, sign-flip linearity) hold in both.
+    The result equals leaf-order SC in the same dtype except on a tie
+    inside a rate-1 node, which takes the hard decision x = (L < 0).  Leaf
+    order differs from it only when an LLR inside the node is exactly zero
+    (node LLRs (0.0, -5.0) give x = (1, 1) in leaf order and (0, 1) here),
+    or when a boxplus loses its sign because its inputs differ in magnitude
+    by a factor of about 1e12 or more (about 1e7 or more in float32).
     """
-    llrs = np.asarray(llrs, dtype=np.float64)
+    llrs = np.asarray(llrs)
     _check_rows(spec, llrs)
-    x_hat = _sc_codewords(spec.frozen.tobytes(), llrs.T)
+    dtype = np.dtype(dtype)
+    channel = llrs.T if llrs.dtype == dtype else np.ascontiguousarray(llrs.T, dtype)
+    x_hat = _sc_codewords(spec.frozen.tobytes(), channel)
     return polar_transform(x_hat), x_hat
 
 
@@ -217,9 +231,10 @@ _kept_plan = None  # (key, plan) of the last call of at most CHUNK_ROWS rows
 
 def _sc_codewords(frozen: bytes, channel: np.ndarray) -> np.ndarray:
     """SC codewords, (B, N), of the (N, B) channel stage, through the kept
-    plan when its key is (frozen, B) and a new one otherwise."""
+    plan when its key is (frozen, B, channel.dtype) and a new one
+    otherwise."""
     global _kept_plan
-    key = frozen, channel.shape[1]
+    key = frozen, channel.shape[1], channel.dtype
     with _plan_lock:
         kept, _kept_plan = _kept_plan, None
     plan = kept[1] if kept is not None and kept[0] == key else _ScPlan(*key)
@@ -243,26 +258,27 @@ class _Channel:
         return _Channel(rows)
 
 
-_ZERO = np.array(0.0)  # as a 0-d array, like boxplus's 0.5
-
-
 class _ScPlan:
-    """SC's node schedule for one frozen pattern and row count, compiled
-    once into the ufunc calls that run it.
+    """SC's node schedule for one frozen pattern, row count and dtype,
+    compiled once into the ufunc calls that run it.
 
-    Owns the stage workspaces (2**s, rows) for s < m, an (N, rows)
-    scratch for boxplus, the g-update's sign indices and the repetition
-    folds, and the (N, rows) codeword: 17 N rows bytes.  Calls that read
-    the channel stage hold _Channel stand-ins, bound to the caller's rows
-    by run()."""
+    Owns, in its dtype, the stage workspaces (2**s, rows) for s < m and an
+    (N, rows) scratch for boxplus, the g-update's sign indices and the
+    repetition folds, and the (N, rows) uint8 codeword: (2 itemsize + 1)
+    N rows bytes.  Its constants (boxplus's 0.5, the zero of the hard
+    decisions, the g-update's sign table) are 0-d or 1-d arrays in its
+    dtype too, so no call converts the workspaces.  Calls that read the
+    channel stage hold _Channel stand-ins, bound to the caller's rows by
+    run()."""
 
     __slots__ = ("steps", "bound", "x")
 
-    def __init__(self, frozen: bytes, rows: int):
+    def __init__(self, frozen: bytes, rows: int, dtype: np.dtype):
         n = len(frozen)
         m = n.bit_length() - 1
-        stages = [np.empty((1 << s, rows)) for s in range(m)] + [_Channel()]
-        scratch = np.empty((n, rows))
+        stages = [np.empty((1 << s, rows), dtype) for s in range(m)] + [_Channel()]
+        scratch = np.empty((n, rows), dtype)
+        zero = np.zeros((), dtype)  # a 0-d array, like boxplus's 0.5
         x = np.zeros((n, rows), np.uint8)
         decide = x.view(np.bool_)  # hard decisions need no cast to uint8
         steps = []
@@ -273,22 +289,24 @@ class _ScPlan:
                 steps += _boxplus_steps(node[:h], node[h:], stages[s - 1],
                                         scratch[:2 * h])
             elif op == _G:
-                # the sign indices first copied to intp in the scratch, so
-                # that take converts nothing
-                index = scratch[:h].view(np.intp)
+                # the sign indices first copied to intp in the bytes of
+                # the scratch's first 2h rows, so that take converts
+                # nothing; h rows would be too short in float32
+                index = scratch[:2 * h].reshape(-1).view(np.intp)[:h * rows]
+                index = index.reshape(h, rows)
                 steps.append((np.copyto, (index, x[lo:mid])))
                 steps += _g_steps(node[:h], node[h:], index, stages[s - 1])
             elif op == _COMBINE:
                 steps.append((np.bitwise_xor, (x[lo:mid], x[mid:hi], x[lo:mid])))
             elif op == _RATE1:
-                steps.append((np.less, (node, _ZERO, decide[lo:hi])))
+                steps.append((np.less, (node, zero, decide[lo:hi])))
             else:  # _REP: the halving sums that g-updates make over zero left bits
                 h = hi - lo
                 while h > 1:
                     h >>= 1
                     steps.append((np.add, (node[:h], node[h:2 * h], scratch[:h])))
                     node = scratch[:h]
-                steps.append((np.less, (node, _ZERO, decide[lo:hi])))
+                steps.append((np.less, (node, zero, decide[lo:hi])))
         self.steps = steps
         self.bound = [(i, func, args) for i, (func, args) in enumerate(steps)
                       if any(isinstance(a, _Channel) for a in args)]
@@ -313,17 +331,21 @@ def _g_update(upper, lower, left_bits, out):
     """out = (-1)^left_bits * upper + lower; upper and lower broadcast
     against left_bits, which has out's shape.
 
-    The signs are looked up from a two-entry table straight into out
-    (mode="clip" keeps take from buffering out), not built as float
-    arrays.  Products and sums of +-1.0 are exact and commute, so the
-    result equals (1.0 - 2.0*left_bits) * upper + lower bit for bit.
+    The signs are looked up from a two-entry table in out's dtype
+    straight into out (mode="clip" keeps take from buffering out), not
+    built as float arrays.  Products and sums of +-1.0 are exact and
+    commute, so the result equals (1.0 - 2.0*left_bits) * upper + lower
+    bit for bit.
     """
     _run(_g_steps(upper, lower, left_bits, out))
 
 
 def _g_steps(upper, lower, left_bits, out):
     """The calls of _g_update, as (ufunc, args) pairs for SC's plans."""
-    return [(_SIGNS.take, (left_bits, None, out, "clip")),
+    # SCL calls this 69 times per RM(4,8) decode, so float64, its dtype,
+    # takes the table as it is; a float32 SC plan converts it once
+    signs = _SIGNS if out.dtype == _SIGNS.dtype else _SIGNS.astype(out.dtype)
+    return [(signs.take, (left_bits, None, out, "clip")),
             (np.multiply, (out, upper, out)), (np.add, (out, lower, out))]
 
 

@@ -18,8 +18,8 @@ bits are read from raw PCG64 words, bit-identical to
 `Generator.integers(0, 2, k, dtype=uint8)` (see _eval_chunk);
 _frame_stream and Generator.integers remain the definition and the test
 oracle.
-Monte-Carlo BP decoding runs with float32 messages for throughput; the
-decoder APIs themselves default to float64.
+Monte-Carlo SC and BP decoding run in float32 for throughput (_MC_DTYPE);
+SCL runs in float64, and the decoder APIs themselves default to float64.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ BATCH_FRAMES = 256
 # A point that does not reach its target by then stops there, and its record
 # says so (SimRecord.stopped_by == "cap"); pass a frame budget to go further.
 MAX_FRAMES = 1_000_000
-_BP_MC_DTYPE = np.float32
+# The precision of Monte-Carlo SC and BP decoding (SCL runs in float64).
+_MC_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -268,28 +269,30 @@ def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
 
 
 def _decode_rows(spec: CodeSpec, llrs: np.ndarray, config: DecoderConfig,
-                 bp_dtype=np.float64) -> tuple[np.ndarray, ...]:
+                 dtype=np.float64) -> tuple[np.ndarray, ...]:
     """The package's one Sc/Scl/Bp dispatch: decode (R, N) LLR rows with a
-    plain config (BP in bp_dtype); any other config is a TypeError.  Returns
-    u and x (R, L, N), iteration counts (1 but for BP) and validity (R, L),
-    where L is 1 but for SCL: its slots in metric order, unused ones invalid."""
+    plain config, SC and BP in dtype and SCL in float64; any other config
+    is a TypeError.  Returns u and x (R, L, N), iteration counts (1 but for
+    BP) and validity (R, L), where L is 1 but for SCL: its slots in metric
+    order, unused ones invalid."""
     if isinstance(config, Scl):
         u, x, pm = scl_decode_batch(spec, llrs, config.list_size)
         return u, x, np.ones(pm.shape, np.int64), np.isfinite(pm)
     if isinstance(config, Sc):
-        (u, x), iters = sc_decode_batch(spec, llrs), np.ones(len(llrs), np.int64)
+        (u, x), iters = sc_decode_batch(spec, llrs, dtype), np.ones(len(llrs), np.int64)
     elif isinstance(config, Bp):
         u, x, iters, _ = bp_decode_batch(spec, llrs, config.max_iters,
-                                         config.stopping, dtype=bp_dtype)
+                                         config.stopping, dtype=dtype)
     else:
         raise TypeError(f"unsupported decoder {config!r}")
     return u[:, None], x[:, None], iters[:, None], np.ones((len(llrs), 1), bool)
 
 
 def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
-                    constituent: DecoderConfig, bp_dtype=np.float64
+                    constituent: DecoderConfig, dtype=np.float64
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Run every ensemble branch of a batch of frames.
+    """Run every ensemble branch of a batch of frames, SC and BP in dtype
+    and SCL in float64 (see _decode_rows).
 
     llrs is (F, N).  tables holds compiled index tables t, either (M, N)
     shared by all frames or (F, M, N) per frame.  Branch j interleaves by
@@ -298,21 +301,36 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
     Returns candidates (F, C, N), de-interleaved, and their branch indices,
     iteration counts and validity (see _decode_rows), each (F, C).  C = M*L,
     ordered by branch, then list slot: candidate c came from branch c // L.
+
+    One flat index, t_j + f*N for frame f's branch j, gathers all R = F*M
+    branch rows and, moved to candidate row (f*M + j)*L + l, scatters their
+    estimates.  SC and BP get the rows batch-last, as the transpose of one
+    C-contiguous (N, R) array in dtype, which SC reads as its channel stage
+    in place and BP copies contiguously; SCL gets them batch-first.  The
+    tables must be compiled permutations (compile_tables): an entry outside
+    0..N-1 is not caught and would read another frame's LLRs.
     """
     fsz, n = llrs.shape
-    tables = np.broadcast_to(tables, (fsz,) + tables.shape[-2:])
-    permuted = np.take_along_axis(llrs[:, None, :], tables, axis=2).reshape(-1, n)
-    u, x, iters, valid = _decode_rows(spec, permuted, constituent, bp_dtype)
+    msz = tables.shape[-2]
+    index = (tables + np.arange(0, fsz * n, n)[:, None, None]).reshape(fsz * msz, n)
+    if isinstance(constituent, Scl):
+        rows = llrs.reshape(-1)[index]
+    else:  # a gather and then a transposing copy beat any transposed index
+        rows = np.ascontiguousarray(np.asarray(llrs, dtype).reshape(-1)[index].T).T
+    u, x, iters, valid = _decode_rows(spec, rows, constituent, dtype)
     if isinstance(constituent, Bp):
         # candidates must be codewords for the correlation selection to be
         # meaningful: re-encode the message estimate (equal to the codeword
         # hard decision whenever the branch converged)
         x = polar_transform(u)
-    msz, lsz = tables.shape[1], x.shape[1]
+    lsz = x.shape[1]
     out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
-    # one flat scatter: output row r of (F, M, L) starts at r * N
-    row = np.arange(fsz * msz * lsz).reshape(fsz, msz, lsz, 1) * n
-    out.reshape(-1)[(tables[:, :, None, :] + row).ravel()] = x.ravel()
+    # branch row r = f*M + j: t_j + f*N becomes t_j + r*L*N, and slot l
+    # scatters into the flat output from l*N on
+    index += ((np.arange(fsz * msz) * lsz - np.arange(fsz).repeat(msz)) * n)[:, None]
+    flat = out.reshape(-1)
+    for slot in range(lsz):
+        flat[slot * n:][index] = x[:, slot]
     csz = msz * lsz
     branch = np.broadcast_to(np.arange(msz).repeat(lsz), (fsz, csz))
     return (out.reshape(fsz, csz, n), branch, iters.reshape(fsz, csz),
@@ -367,11 +385,11 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
             tables = tables.reshape(fsz, decoder.size, n)
         x_de, _, iters, valid = decode_branches(spec, llr, tables,
                                                 decoder.constituent,
-                                                bp_dtype=_BP_MC_DTYPE)
+                                                dtype=_MC_DTYPE)
         x_hat = x_de[np.arange(fsz), select_winners(x_de, valid, y)[0]]
         u_hat = polar_transform(x_hat)
     else:  # SCL's slot 0 is its best metric; BP keeps its own hard decision
-        u, x, iters, _ = _decode_rows(spec, llr, decoder, bp_dtype=_BP_MC_DTYPE)
+        u, x, iters, _ = _decode_rows(spec, llr, decoder, dtype=_MC_DTYPE)
         u_hat, x_hat, iters = u[:, 0], x[:, 0], iters[:, :1]
     # every candidate is one constituent run (1 iteration for SC/SCL)
     iters_sum = iters.sum(axis=1).astype(np.float64)

@@ -18,6 +18,7 @@ from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
 from aedcodes import decoders
 from aedcodes.decoders import CHUNK_ROWS, _boxplus_into, _g_update, _ScPlan
 from test_decoder_oracles import leaf_order_sc, random_decreasing
+from test_pinned_sc import pinned_batch
 
 
 def noiseless_llrs(codewords):
@@ -146,6 +147,25 @@ def test_sc_does_not_copy_its_input():
     assert peak < 2.5 * llrs.nbytes
 
 
+def test_sc_float32_holds_its_sign_index_in_the_scratch():
+    # In float32 the plan holds 9 N bytes per row: stages 0..m-1 and the
+    # scratch, 4(N-1) and 4N, and the codeword, N.  The g-update's intp
+    # sign index lives in the bytes of the scratch's first 2h rows; at its
+    # peak x_hat is copied out too, so about 2.5 times llrs.nbytes
+    # (tracemalloc reads 2.53).  An index allocated apart from the scratch
+    # (8 bytes per entry, h = N/2 rows) would add 1 more, and so would a
+    # copy of the float32 channel stage.
+    spec = rm_code(4, 8)
+    llrs = np.random.default_rng(16).normal(1.0, 2.0, (8192, spec.n)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        sc_decode_batch(spec, llrs, dtype=np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * llrs.nbytes
+
+
 # ---------------------------------------------------------------------------
 # SC plans: one compiled schedule kept across calls
 
@@ -188,9 +208,21 @@ cases = np.load(sys.argv[1])
 outs = {}
 for i in reversed(range(len(cases.files) // 2)):
     spec = polar_code(int(cases[f"m{i}"].size).bit_length() - 1, cases[f"m{i}"])
-    outs[f"u{i}"], outs[f"x{i}"] = sc_decode_batch(spec, cases[f"l{i}"])
+    outs[f"u{i}"], outs[f"x{i}"] = sc_decode_batch(spec, cases[f"l{i}"], sys.argv[3])
 np.savez(sys.argv[2], **outs)
 """
+
+
+def fresh_decodes(tmp_path, cases, dtype):
+    """u{i} and x{i} of each (spec, llrs) case, SC-decoded in `dtype` by a
+    new process that decodes each case once, last case first."""
+    np.savez(tmp_path / f"cases-{dtype}.npz",
+             **{f"m{i}": spec.frozen for i, (spec, _) in enumerate(cases)},
+             **{f"l{i}": llrs for i, (_, llrs) in enumerate(cases)})
+    subprocess.run([sys.executable, "-c", _FRESH_DECODE, str(tmp_path / f"cases-{dtype}.npz"),
+                    str(tmp_path / f"fresh-{dtype}.npz"), dtype],
+                   check=True, env=dict(os.environ))
+    return np.load(tmp_path / f"fresh-{dtype}.npz")
 
 
 def test_sc_plans_under_alternating_keys_match_oracle_and_fresh_process(tmp_path):
@@ -198,12 +230,7 @@ def test_sc_plans_under_alternating_keys_match_oracle_and_fresh_process(tmp_path
     # the kept one; neither may change a bit against leaf order or against
     # a process that decodes each case once
     cases = plan_cases()
-    np.savez(tmp_path / "cases.npz",
-             **{f"m{i}": spec.frozen for i, (spec, _) in enumerate(cases)},
-             **{f"l{i}": llrs for i, (_, llrs) in enumerate(cases)})
-    subprocess.run([sys.executable, "-c", _FRESH_DECODE, str(tmp_path / "cases.npz"),
-                    str(tmp_path / "fresh.npz")], check=True, env=dict(os.environ))
-    fresh = np.load(tmp_path / "fresh.npz")
+    fresh = fresh_decodes(tmp_path, cases, "float64")
     refs = [leaf_order_sc(spec, llrs) for spec, llrs in cases]
     for _ in range(2):
         for i, (spec, llrs) in enumerate(cases):
@@ -214,6 +241,24 @@ def test_sc_plans_under_alternating_keys_match_oracle_and_fresh_process(tmp_path
                 assert np.array_equal(u[~tie], u_ref[~tie]), (spec.label, len(llrs))
                 assert np.array_equal(x[~tie], x_ref[~tie]), (spec.label, len(llrs))
     assert sum(int((~tie).sum()) for *_, tie in refs) > 9 * sum(int(tie.sum()) for *_, tie in refs)
+
+
+def test_sc_plans_of_alternating_dtypes_match_fresh_process(tmp_path):
+    # float64 and float32 calls on one (frozen, rows) each run the plan of
+    # their own dtype: a call that reused the other's would round in the
+    # other precision.  The pinned 128-row RM(4,8) batch decodes
+    # differently in the two on some rows, so the mix-up would show
+    spec = rm_code(4, 8)
+    llrs = pinned_batch(spec, 128)
+    fresh = {dtype: fresh_decodes(tmp_path, [(spec, llrs)], dtype)
+             for dtype in ("float64", "float32")}
+    assert not np.array_equal(fresh["float64"]["x0"], fresh["float32"]["x0"])
+    for dtype in ("float64", "float32", "float32", "float64", "float32", "float64"):
+        u, x = sc_decode_batch(spec, llrs, dtype=dtype)
+        assert np.array_equal(u, fresh[dtype]["u0"]), dtype
+        assert np.array_equal(x, fresh[dtype]["x0"]), dtype
+        assert decoders._kept_plan[0] == (spec.frozen.tobytes(), len(llrs),
+                                          np.dtype(dtype))
 
 
 def test_sc_results_do_not_alias_the_kept_plan():
@@ -266,7 +311,7 @@ def test_sc_keeps_the_plan_of_the_last_call_up_to_chunk_rows():
     rng = np.random.default_rng(24)
     sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS, spec.n)))
     key, plan = decoders._kept_plan
-    assert key == (spec.frozen.tobytes(), CHUNK_ROWS)
+    assert key == (spec.frozen.tobytes(), CHUNK_ROWS, np.dtype(np.float64))
     sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS, spec.n)))
     assert decoders._kept_plan[1] is plan  # reused, not rebuilt
     sc_decode_batch(spec, rng.normal(0.0, 2.0, (CHUNK_ROWS + 1, spec.n)))
@@ -278,7 +323,8 @@ def test_sc_keeps_at_most_one_plan():
         sc_decode_batch(spec, llrs)
         gc.collect()
         assert sum(isinstance(o, _ScPlan) for o in gc.get_objects()) <= 1
-    assert decoders._kept_plan[0] == (spec.frozen.tobytes(), len(llrs))
+    assert decoders._kept_plan[0] == (spec.frozen.tobytes(), len(llrs),
+                                      np.dtype(np.float64))
 
 
 def test_scl_holds_no_per_path_copy_of_its_input():
@@ -322,26 +368,28 @@ def test_g_update_looks_its_signs_up_into_out():
     assert np.array_equal(out, (1.0 - 2.0 * bits) * upper + lower)
 
 
-def test_sc_sign_flip_linearity():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sc_sign_flip_linearity(dtype):
     spec = rm_code(3, 7)
     rng = np.random.default_rng(5)
     llrs = rng.normal(0, 2, (100, spec.n))
     msgs = rng.integers(0, 2, (100, spec.k), dtype=np.uint8)
     cws = encode(spec, msgs)
-    _, x_flip = sc_decode_batch(spec, llrs * (1.0 - 2.0 * cws))
-    _, x_plain = sc_decode_batch(spec, llrs)
+    _, x_flip = sc_decode_batch(spec, llrs * (1.0 - 2.0 * cws), dtype)
+    _, x_plain = sc_decode_batch(spec, llrs, dtype)
     assert np.array_equal(x_flip, x_plain ^ cws)
 
 
-def test_sc_lta_commutation_various_codes():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sc_lta_commutation_various_codes(dtype):
     rng = np.random.default_rng(6)
     for r, m in [(1, 4), (3, 6), (4, 8)]:
         spec = rm_code(r, m)
         for _ in range(30):
             table = compile_tables([sample(m, "lta", rng)])[0]
             llr = rng.normal(0, 2, spec.n)
-            _, xp = sc_decode_batch(spec, llr[None, table])
-            _, x0 = sc_decode_batch(spec, llr[None, :])
+            _, xp = sc_decode_batch(spec, llr[None, table], dtype)
+            _, x0 = sc_decode_batch(spec, llr[None, :], dtype)
             assert np.array_equal(xp[0], x0[0][table])
 
 

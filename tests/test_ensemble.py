@@ -266,6 +266,44 @@ def test_branch_orientation_gather_then_inverse(constituent):
         assert np.array_equal(x_de[:, j * lsz:(j + 1) * lsz], x[:, :, inv_t])
 
 
+@pytest.mark.parametrize("per_frame", [False, True], ids=["shared", "per-frame"])
+@pytest.mark.parametrize("constituent", [Sc(), Scl(2), Bp(5)],
+                         ids=["sc", "scl2", "bp5"])
+def test_branch_rows_are_gathered_batch_last_and_scattered_per_branch(
+        monkeypatch, constituent, per_frame):
+    """decode_branches gathers the chunk's branch rows into one (N, F*M)
+    array and hands the kernel its transpose, so SC reads that array as its
+    channel stage in place.  Its candidates equal each branch's own gather
+    llr_f[t], decode and scatter out[t] = x, for shared (M, N) tables and
+    distinct per-frame (F, M, N) ones."""
+    import aedcodes.simulation as simulation
+    spec = rm_code(2, 5)
+    rng = np.random.default_rng(32)
+    fsz, msz = 3, 4
+    tables = compile_tables([sample(spec.m, "ga", rng)
+                             for _ in range(fsz * msz if per_frame else msz)])
+    tables = tables.reshape(fsz, msz, spec.n) if per_frame else tables
+    llrs = rng.normal(0.5, 2.0, (fsz, spec.n))
+    batch_last = []
+    sc_decode = simulation.sc_decode_batch
+
+    def spy(spec, rows, *args, **kwargs):
+        batch_last.append(rows.T.flags.c_contiguous)
+        return sc_decode(spec, rows, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "sc_decode_batch", spy)
+    x_de, branch, _, _ = decode_branches(spec, llrs, tables, constituent)
+    assert batch_last == ([True] if isinstance(constituent, Sc) else [])
+    lsz = x_de.shape[1] // msz
+    for f in range(fsz):
+        for j, t in enumerate(tables[f] if per_frame else tables):
+            x = constituent_candidates(spec, llrs[f, t][None], constituent)[0]
+            want = np.empty_like(x)
+            want[:, t] = x
+            assert np.array_equal(x_de[f, j * lsz:(j + 1) * lsz], want), (f, j)
+            assert np.all(branch[f, j * lsz:(j + 1) * lsz] == j)
+
+
 def test_paper_form_branch_equals_inverse_labelled_conjugated_branch():
     # the two conjugation orientations enumerate the same branch set: the
     # ensemble branch under pi equals the conjugated branch under pi^{-1}

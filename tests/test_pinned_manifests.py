@@ -25,7 +25,7 @@ FROZEN = "1111100010000000"  # m = 4, k = 10; written to a file per test
 
 def _head(code: dict, target_errors=None, all_zero=False) -> dict:
     """The run keys every manifest starts with, in written order."""
-    return {"tool": "aedcodes", "version": "0.4.0", "code": code,
+    return {"tool": "aedcodes", "version": "0.5.0", "code": code,
             "ebn0_grid": [1.0, 2.0, 3.0], "frames": 200,
             "target_errors": target_errors, "seed": 5, "all_zero": all_zero}
 

@@ -6,7 +6,8 @@ streams were last declared (manifest 0.2.0).  Manifest 0.3.0 was a schema
 bump that only dropped the keys of three ensemble and BP options and
 moved no stream, so the literals stand.  Manifest 0.4.0 moved SCL onto
 SC's node schedule, which prunes its list per node, not per leaf; no
-SCL record here moved.  The two cases that had set
+SCL record here moved.  Manifest 0.5.0 made run_mc decode SC in float32,
+as it already did BP; no SC record here moved.  The two cases that had set
 one of those options now run with default options, with the records that
 0.2.0 gives for them.  A change that is meant to be bit-exact (one that
 moves no random stream and no decision bit) must leave every record as it
