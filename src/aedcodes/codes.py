@@ -122,6 +122,10 @@ class CodeSpec:
         self.info_indices = np.flatnonzero(~frozen)
         self.info_indices.setflags(write=False)
         self.k = int(self.info_indices.size)
+        # message coordinate at each info index and k at each frozen one
+        self._message_index = np.full(self.n, self.k)
+        self._message_index[self.info_indices] = np.arange(self.k)
+        self._message_index.setflags(write=False)
         self.label = label if label is not None else f"code(m={m},k={self.k})"
         self._generator = None
 
@@ -247,9 +251,11 @@ def encode(spec: CodeSpec, u) -> np.ndarray:
         raise ValueError(f"message length {u.shape[-1]} != k={spec.k}")
     if np.any((u != 0) & (u != 1)):
         raise ValueError("message values must be 0 or 1")
-    full = np.zeros(u.shape[:-1] + (spec.n,), dtype=np.uint8)
-    full[..., spec.info_indices] = u
-    return polar_transform(full)
+    # gather u G_N's input from u padded with one zero: coordinate i sits at
+    # the i-th info index and the zero at every frozen one
+    padded = np.zeros(u.shape[:-1] + (spec.k + 1,), dtype=np.uint8)
+    padded[..., :spec.k] = u
+    return polar_transform(padded.take(spec._message_index, axis=-1))
 
 
 def in_code(spec: CodeSpec, x) -> bool:

@@ -10,20 +10,24 @@ comparisons).  Frame f's root stream is
 `np.random.SeedSequence(seed, spawn_key=(f,))` (_frame_stream); its first
 two spawned children seed `default_rng` for the message and the noise, and
 a resampled ensemble draws frame f's automorphisms from the root stream
-under its own seed.  _stream_states computes the PCG64 states of a whole
-chunk of such streams at once, reproducing numpy's hashing and seeding bit
-for bit; a stream is read by loading its state into a reused generator
-(sample_ensemble takes a chunk's automorphism states as a list).  Message
-bits are read from raw PCG64 words, bit-identical to
-`Generator.integers(0, 2, k, dtype=uint8)` (see _eval_chunk);
-_frame_stream and Generator.integers remain the definition and the test
-oracle.
+under its own seed.  _stream_words computes the generate_state words of a
+whole chunk of such streams at once, reproducing numpy's hashing bit for
+bit.  A frame's message is the top bit of each byte of its message
+stream's first ceil(k / 8) raw PCG64 words, bit-identical to
+`Generator.integers(0, 2, k, dtype=uint8)`; _raw_words computes those
+words for every frame of the chunk at once by jumping the 128-bit LCG ahead
+(see there).  The noise streams are read one frame at a time, by loading
+each state (_pcg64_state) into one reused generator, and a resampled
+ensemble hands sample_ensemble its chunk's automorphism states
+(_stream_states) as a list.  _frame_stream, Generator.integers and
+random_raw remain the definition and the test oracle.
 Monte-Carlo SC and BP decoding run in float32 for throughput (_MC_DTYPE);
 SCL runs in float64, and the decoder APIs themselves default to float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -153,12 +157,12 @@ def _frame_stream(seed: int, frame: int) -> np.random.SeedSequence:
     """Root stream of one frame.  Under the channel seed its two children are
     the frame's message and noise streams; under an ensemble seed it draws
     the frame's automorphisms.  This is the definition of a stream;
-    _stream_states computes the same generator states in bulk."""
+    _stream_words computes the same streams' seed words in bulk."""
     return np.random.SeedSequence(entropy=seed, spawn_key=(frame,))
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# LCG multiplier, which _stream_states reproduces
+# LCG multiplier, which _stream_words and _raw_words reproduce
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy hashing
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # output hashing
@@ -196,12 +200,24 @@ def _mix(x, y):
 
 
 _OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+# generate_state's eight output words hash pool words 0-3, 0-3 under
+# consecutive constants: (2, 4, 1, 1), broadcast against the pool
+_OUT_PRE = _OUT_CONSTS[:-1].reshape(2, _POOL_SIZE, 1, 1)
+_OUT_POST = _OUT_CONSTS[1:].reshape(2, _POOL_SIZE, 1, 1)
+# a stream's spawn key adds at most three entropy words: a frame index below
+# 2**64 and a child index
+_KEY_WORDS = 3
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """Pool and entropy hash constant of SeedSequence(seed, spawn_key=...)
-    once the seed's words are mixed in; numpy pads them with zeros to the
-    pool size because a spawn key follows."""
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pool of SeedSequence(seed, spawn_key=...) once the seed's words are
+    mixed in, as a (4, 1, 1) uint32 array, and the entropy hash constants
+    under which the key words are mixed: key word i, hashed under constant
+    4 i + j, is mixed into pool word j.  numpy pads the seed's words with
+    zeros to the pool size because a spawn key follows.  Memoised: a run
+    derives every chunk's streams from the same channel and ensemble seeds;
+    the arrays are read-only."""
     ent = _words(seed)
     ent += [0] * (_POOL_SIZE - len(ent))
     hc = _INIT_A
@@ -219,7 +235,11 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
     for w in ent[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], hashmix(w))
-    return pool, hc
+    pool = np.array(pool, dtype=np.uint32)[:, None, None]
+    consts = _hash_consts(hc, _MULT_A, _KEY_WORDS * _POOL_SIZE)
+    pool.setflags(write=False)
+    consts.setflags(write=False)
+    return pool, consts
 
 
 def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> dict:
@@ -232,40 +252,116 @@ def _pcg64_state(s0: int, s1: int, i0: int, i1: int) -> dict:
             "has_uint32": 0, "uinteger": 0}
 
 
-def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
-    """PCG64 states, as default_rng seeds them, of the streams of frames
-    lo..hi-1 under `seed`.  Yields one tuple per frame f: with children == 0
-    the state of the root stream _frame_stream(seed, f), else those of the
-    first `children` streams that _frame_stream(seed, f).spawn() gives.
+def _stream_words(seed: int, lo: int, hi: int, children: int = 0) -> np.ndarray:
+    """generate_state(4, uint64) words, the words default_rng seeds PCG64
+    with, of the streams of frames lo..hi-1 under `seed`, as a
+    (hi - lo, max(children, 1), 4) uint64 array: with children == 0 the
+    words of the root stream _frame_stream(seed, f), else those of the first
+    `children` streams that _frame_stream(seed, f).spawn() gives.
 
     The stream of child c is SeedSequence(seed, spawn_key=(f, c)): its
     entropy is the seed's words, zero-padded to the pool size, then f's
-    words, then c.  The seed's part of the pool is mixed once, in Python
-    ints; the frame and child words are mixed as uint32 arrays over the
-    whole chunk, split where f's word count changes (at 2**32; frame
+    words, then c.  The seed's part of the pool is mixed once per seed, in
+    Python ints; the frame and child words are mixed as uint32 arrays over
+    the whole chunk, split where f's word count changes (at 2**32; frame
     indices stay below 2**64)."""
     check_seed(seed)
-    pool0, hc0 = _seed_pool(int(seed))
+    pool0, consts = _seed_pool(int(seed))
+    pieces = [np.empty((0, max(children, 1), 4), dtype=np.uint64)]
     while lo < hi:
         nwords = len(_words(lo))
         end = min(hi, 1 << 32 * nwords)
         frames = np.arange(lo, end, dtype=np.uint64)
         # pool (4, kinds, frames): frame words along the last axis, child
         # words along the middle one
-        words = [(frames >> 32 * i & _M32).astype(np.uint32) for i in range(nwords)]
+        words = [(frames >> 32 * i).astype(np.uint32) for i in range(nwords)]
         if children:
             words.append(np.arange(children, dtype=np.uint32)[:, None])
-        pool, hc = np.array(pool0, dtype=np.uint32)[:, None, None], hc0
-        for w in words:  # pool word j is mixed with w hashed under constant j
-            ha = _hash_consts(hc, _MULT_A, _POOL_SIZE)
-            pool, hc = _mix(pool, _hashmix(w, ha[:-1], ha[1:])), int(ha[-1, 0, 0])
+        pool = pool0
+        for i, w in enumerate(words):
+            ha = consts[_POOL_SIZE * i:_POOL_SIZE * (i + 1) + 1]
+            pool = _mix(pool, _hashmix(w, ha[:-1], ha[1:]))
         # generate_state(4, uint64): 8 words, cycling through the pool
-        state = _hashmix(np.concatenate([pool, pool]), _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+        state = _hashmix(pool, _OUT_PRE, _OUT_POST).reshape(-1, *pool.shape[1:])
         state = state.astype(np.uint64)
-        state = (state[0::2] | state[1::2] << 32).transpose(2, 1, 0)
-        for frame in state:  # (kinds, 4) words
-            yield tuple(_pcg64_state(*kind) for kind in frame.tolist())
+        pieces.append((state[0::2] | state[1::2] << 32).transpose(2, 1, 0))
         lo = end
+    return np.concatenate(pieces)
+
+
+def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
+    """PCG64 states, as default_rng seeds them, of the streams that
+    _stream_words describes: one tuple of `bit_generator.state` dicts per
+    frame, one dict per stream."""
+    for frame in _stream_words(seed, lo, hi, children).tolist():
+        yield tuple(_pcg64_state(*kind) for kind in frame)
+
+
+@functools.lru_cache(maxsize=8)
+def _jump_consts(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Limbs of the constants that take a PCG64's generate_state words to
+    its LCG states after raw words 1..count: state j is
+    A s + 2 G i + G mod 2**128, with s = (s0, s1), i = (i0, i1),
+    A = MULT**(j+1) and G = 1 + MULT + ... + MULT**(j+1) (see _raw_words).
+
+    Returns a (16, 4 count) float64 matrix, whose entry (r, p count + j) is
+    32-bit limb p of the multiplier of 16-bit limb r of a row (s0, s1, i0,
+    i1) of little-endian words in state j, and G's 32-bit limbs as a
+    (4, count) uint64 array, limb p in row p.  Both are read-only."""
+    a, g = _PCG_MULT, 1 + _PCG_MULT  # A_1 and G_2
+    cols = []
+    for _ in range(count):
+        a, g = a * _PCG_MULT & _M128, (g * _PCG_MULT + 1) & _M128
+        # limb r weighs 2**(16 (r % 4)) in its word, and the high halves s0
+        # and i0 weigh 2**64
+        cols.append([(a if r < 8 else 2 * g) << 16 * (r % 4) + 64 * (r // 4 % 2 == 0)
+                     & _M128 for r in range(16)] + [g])
+    limbs = np.array([[[x >> 32 * p & _M32 for x in col] for p in range(4)]
+                      for col in cols], dtype=np.uint64).reshape(count, 4, 17)
+    mult = limbs[..., :16].transpose(2, 1, 0).reshape(16, 4 * count).astype(np.float64)
+    add = limbs[..., 16].T.copy()
+    mult.setflags(write=False)
+    add.setflags(write=False)
+    return mult, add
+
+
+# uint64 scalars for the shifts and masks below: numpy shifts a uint64
+# array by a Python int about a third more slowly
+_U26, _U32, _U63 = np.uint64(26), np.uint64(32), np.uint64(63)
+_LOW32 = np.uint64(_M32)
+
+
+def _raw_words(words: np.ndarray, count: int) -> np.ndarray:
+    """random_raw(count) of each PCG64 stream seeded with generate_state
+    words (s0, s1, i0, i1), the rows of `words`: an (F, count)
+    little-endian uint64 array, computed for all rows and words at once.
+
+    default_rng's PCG64 starts at state MULT s + (MULT + 1) c with
+    s = (s0, s1) and increment c = 2 (i0, i1) + 1 (see _pcg64_state), and
+    every draw takes an LCG step, state -> MULT state + c, and returns the
+    XSL-RR output of the new state: its two halves XORed and rotated right
+    by its top six bits.  Raw word j is therefore the output of
+    A_(j+1) s + G_(j+2) c mod 2**128 (Brown's jump-ahead for LCGs).
+
+    The states come from one matrix product of the words' 16-bit limbs
+    with _jump_consts' 32-bit ones, in float64: a sum of 16 products of a
+    16-bit and a 32-bit limb, plus a 32-bit limb of G, stays below 2**53,
+    so it is exact in any order of summation.  The four sums of a state,
+    at 32-bit positions, are then carried into each other."""
+    mult, add = _jump_consts(count)
+    limbs = words.astype("<u8", copy=False).view("<u2")
+    t = (limbs @ mult).astype(np.uint64).reshape(len(words), 4, count)
+    t += add
+    v0, v1, v2, v3 = t.transpose(1, 0, 2)
+    v1 += v0 >> _U32
+    v2 += v1 >> _U32
+    v3 += v2 >> _U32
+    rot = v3 >> _U26 & _U63  # the state's top six bits
+    x = (v3 ^ v1) << _U32  # high half ^ low half
+    x |= (v2 ^ v0) & _LOW32
+    out = np.empty(x.shape, dtype="<u8")
+    np.bitwise_or(x >> rot, x << (-rot & _U63), out=out)
+    return out
 
 
 def _decode_rows(spec: CodeSpec, llrs: np.ndarray, config: DecoderConfig,
@@ -350,22 +446,24 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     fsz = hi - lo
     n, k = spec.n, spec.k
     sigma = ch.sigma
-    # integers(0, 2, k, dtype=uint8) returns the top bit of byte j of the
-    # little-endian stream of raw 64-bit words as message bit j (numpy's
-    # bounded uint8 method never rejects for a range of 2), so a message
-    # takes ceil(k / 8) raw words
-    raw = np.zeros((fsz, -(-k // 8)), dtype="<u8")
+    words = _stream_words(ch.seed, lo, hi, children=2)
+    if all_zero:
+        msgs = np.zeros((fsz, k), dtype=np.uint8)
+    else:
+        # integers(0, 2, k, dtype=uint8) returns the top bit of byte j of the
+        # little-endian stream of raw 64-bit words as message bit j (numpy's
+        # bounded uint8 method never rejects for a range of 2), so a message
+        # is its stream's first ceil(k / 8) raw words
+        msgs = _raw_words(words[:, 0], -(-k // 8)).view(np.uint8)[:, :k] >> 7
+    # normal(0, sigma) is 0.0 + sigma z, which differs from sigma z only in
+    # the sign of a zero; y = (1 - 2x) + noise below erases that sign
     noise = np.empty((fsz, n))
     rng = np.random.Generator(np.random.PCG64(0))  # reseeded for every stream
     bitgen = rng.bit_generator
-    for t, (msg_state, noise_state) in enumerate(
-            _stream_states(ch.seed, lo, hi, children=2)):
-        if not all_zero:
-            bitgen.state = msg_state
-            raw[t] = bitgen.random_raw(raw.shape[1])
-        bitgen.state = noise_state
-        noise[t] = rng.normal(0.0, sigma, n)
-    msgs = raw.view(np.uint8)[:, :k] >> 7
+    for t, noise_words in enumerate(words[:, 1].tolist()):
+        bitgen.state = _pcg64_state(*noise_words)
+        rng.standard_normal(out=noise[t])
+    noise *= sigma
     x_true = encode(spec, msgs)
     # y = (1 - 2x) + noise and llr = saturate(2y / sigma^2), in place and
     # rounded in the same order (-2x + 1 is exactly 1 - 2x); y takes over

@@ -316,6 +316,90 @@ def test_stream_states_equal_seedsequence_states(seed, lo, hi):
             _seedsequence_states(seed, lo, hi, children)
 
 
+class _FixedWords(np.random.bit_generator.ISeedSequence):
+    """A seed that hands PCG64 the given generate_state words unchanged."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, np.dtype(dtype)) == (4, np.dtype(np.uint64))
+        return self.words.copy()
+
+
+_M64, _M128 = 2**64 - 1, 2**128 - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's LCG multiplier
+
+
+def _words_at_state(state, i0, i1, draws):
+    """Seed words (s0, s1, i0, i1) of a PCG64 whose LCG state is `state`
+    after `draws` raw words: s solves A s + G c = state, with A = MULT**(j+1)
+    and G = 1 + MULT + ... + MULT**(j+1) for j draws and c = 2 (i0, i1) + 1."""
+    c = ((i0 << 64 | i1) << 1 | 1) & _M128
+    a = pow(_MULT, draws + 1, 2**128)
+    g = sum(pow(_MULT, e, 2**128) for e in range(draws + 2)) & _M128
+    s = (state - g * c) * pow(a, -1, 2**128) & _M128
+    return [s >> 64, s & _M64, i0, i1]
+
+
+@pytest.mark.parametrize("count", [1, 2, 21, 80])
+def test_raw_words_equal_pcg64_random_raw(count):
+    """_raw_words, the message words by jump-ahead, equal numpy's
+    random_raw(count) for word counts of k <= 8, of RM(4,8) and of RM(5,10)
+    (k = 638): on PCG64s seeded with edge and random generate_state words,
+    on one whose last word is drawn at rotation 0, and on the message
+    streams of frames across 2**32 and at 2**64 - 2."""
+    top = _M64
+    words = [[0, 0, 0, 0], [top] * 4, [0, top, 0, 2**63], [top, 0, 2**63, top],
+             [1, 2**63, 2**32 - 1, 2**32]]
+    words += np.random.default_rng(count).integers(0, top, (8, 4), dtype=np.uint64,
+                                                   endpoint=True).tolist()
+    words.append(_words_at_state((5 << 64) | 7, 3, 9, count))  # top six bits 0
+    want = []
+    for w in words:
+        bitgen = np.random.PCG64(_FixedWords(w))
+        want.append(bitgen.random_raw(count))
+    assert bitgen.state["state"]["state"] >> 122 == 0  # the rotation-0 case
+    assert np.array_equal(simulation._raw_words(np.array(words, dtype=np.uint64), count),
+                          np.array(want))
+    # the data carry across the 64-bit halves: the increment 2 i + 1 takes
+    # bit 63 of i1 into its high half, and the low halves of A s and G c
+    # overflow when they are added
+    carries = [(pow(_MULT, j + 1, 2**128) * (s0 << 64 | s1) & _M64)
+               + (sum(pow(_MULT, e, 2**128) for e in range(j + 2))
+                  * ((i0 << 64 | i1) << 1 | 1) & _M64) >= 2**64
+               for s0, s1, i0, i1 in words[:6] for j in (1, count)]
+    assert any(carries) and any(w[3] >> 63 for w in words)
+    for lo, hi in [(2**32 - 2, 2**32 + 2), (2**64 - 2, 2**64)]:
+        got = simulation._raw_words(
+            simulation._stream_words(11, lo, hi, children=2)[:, 0], count)
+        want = [np.random.default_rng(_frame_stream(11, f).spawn(2)[0])
+                .bit_generator.random_raw(count) for f in range(lo, hi)]
+        assert np.array_equal(got, np.array(want))
+
+
+def test_raw_words_equal_python_int_jump_ahead():
+    """_raw_words equals the jump-ahead in Python ints, the XSL-RR output of
+    A s + G c mod 2**128, on seed words whose s and i take the edge values
+    0, 1, 2**64 - 1, 2**64, 2**127 and 2**128 - 1 (all-ones words give every
+    float64 limb sum in _raw_words its largest value)."""
+    edges = [0, 1, _M64, 2**64, 2**127, _M128]
+    words = [[s >> 64, s & _M64, i >> 64, i & _M64] for s in edges for i in edges]
+    count = 21
+    consts = [(pow(_MULT, j + 1, 2**128),
+               sum(pow(_MULT, e, 2**128) for e in range(j + 2)) & _M128)
+              for j in range(1, count + 1)]
+    want = []
+    for s0, s1, i0, i1 in words:
+        s, c = s0 << 64 | s1, ((i0 << 64 | i1) << 1 | 1) & _M128
+        want.append([])
+        for a, g in consts:
+            state = (a * s + g * c) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            want[-1].append((x >> rot | x << 64 - rot) & _M64)
+    assert simulation._raw_words(np.array(words, dtype=np.uint64), count).tolist() == want
+
+
 def _seedsequence_message(spec, seed, frame, all_zero=False):
     """The definition of frame `frame`'s message: integers(0, 2, k) drawn by
     default_rng on the first child of its root stream."""
@@ -378,22 +462,23 @@ def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_see
     draws of default_rng on the frame's SeedSequence streams, looped frame
     by frame; the automorphisms are those of the reference sampler, for
     every subgroup."""
-    spec = rm_code(2, 4)
-    ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
-    msgs, llrs = [], []
-    for f in range(lo, hi):
-        msg = _seedsequence_message(spec, ch_seed, f, all_zero)
-        noise_ss = _frame_stream(ch_seed, f).spawn(2)[1]
-        y = (1.0 - 2.0 * encode(spec, msg)) + np.random.default_rng(noise_ss).normal(
-            0.0, ch.sigma, spec.n)
-        msgs.append(msg)
-        llrs.append(saturate(2.0 * y / ch.sigma ** 2))
-    for subgroup in ("ga", "lta", "uta", "pi"):
-        cfg = EnsembleConfig(3, subgroup, Sc(), resample_per_frame=True, seed=ens_seed)
-        seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
-        assert np.array_equal(seen["msgs"], np.array(msgs))
-        assert np.array_equal(seen["llrs"], np.array(llrs))
-        assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
+    for spec in (rm_code(2, 4), rm_code(4, 8)):  # messages of 2 and 21 raw words
+        ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
+        msgs, llrs = [], []
+        for f in range(lo, hi):
+            msg = _seedsequence_message(spec, ch_seed, f, all_zero)
+            noise_ss = _frame_stream(ch_seed, f).spawn(2)[1]
+            y = (1.0 - 2.0 * encode(spec, msg)) + np.random.default_rng(
+                noise_ss).normal(0.0, ch.sigma, spec.n)
+            msgs.append(msg)
+            llrs.append(saturate(2.0 * y / ch.sigma ** 2))
+        for subgroup in ("ga", "lta", "uta", "pi"):
+            cfg = EnsembleConfig(3, subgroup, Sc(), resample_per_frame=True,
+                                 seed=ens_seed)
+            seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
+            assert np.array_equal(seen["msgs"], np.array(msgs))
+            assert np.array_equal(seen["llrs"], np.array(llrs))
+            assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
 
 
 @pytest.mark.parametrize("r,m,size,subgroup,lo,hi", [
