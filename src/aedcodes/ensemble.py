@@ -16,6 +16,8 @@ from .codes import CodeSpec, is_decreasing
 from .decoders import Bp, Sc, Scl, check_count, sc_decode_batch
 
 DecoderConfig = Sc | Scl | Bp
+# most float64 sign entries select_winners holds at once (256 KB)
+_SIGN_BLOCK = 1 << 15
 
 
 def check_seed(seed) -> None:
@@ -91,8 +93,22 @@ def select_winners(x: np.ndarray, valid: np.ndarray, y: np.ndarray
     vectors (F, N).  Scores are sum_i (-1)^x_i * y_i, -inf for invalid
     slots; the winner is the lowest candidate index of maximal score.
     Returns the winner indices (F,) and the scores (F, C).
+
+    The float64 signs 1 - 2x are built in place for a block of frames at a
+    time, at most _SIGN_BLOCK entries (four frames of 32 RM(4,8)
+    candidates): the signs of a whole 256-frame SCL-32 chunk would take
+    16 MB, which the memory SCL has just freed may not hold, and would
+    raise the run's peak by as much.  Each frame is scored by its own
+    matrix-vector product, so the blocks change no score.
     """
-    scores = ((1.0 - 2.0 * x.astype(np.float64)) @ y[:, :, None])[:, :, 0]
+    fsz, csz, n = x.shape
+    scores = np.empty((fsz, csz))
+    step = max(1, _SIGN_BLOCK // max(csz * n, 1))
+    for lo in range(0, fsz, step):
+        signs = x[lo:lo + step].astype(np.float64)
+        signs *= -2.0
+        signs += 1.0
+        scores[lo:lo + step] = (signs @ y[lo:lo + step, :, None])[:, :, 0]
     scores[~valid] = -np.inf
     return np.argmax(scores, axis=1), scores
 

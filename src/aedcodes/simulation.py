@@ -1,6 +1,9 @@
 """BPSK/AWGN channel, Monte-Carlo error-rate harness and brute-force ML
-oracle, with the package's one decoder dispatch, _decode_rows, through
-which plain chunks and ensemble branches (decode_branches) run.
+oracle, with the package's one decoder dispatch, _decode_rows.  Every
+chunk decodes through decode_branches, a plain decoder as an ensemble of
+one branch with no table, and every frame's decision is its
+best-correlation codeword candidate (select_winners; with one candidate,
+that one).
 
 Every frame draws its message and noise from streams derived from
 (channel seed, frame index), so runs are reproducible bit-for-bit, results
@@ -368,35 +371,40 @@ def _decode_rows(spec: CodeSpec, llrs: np.ndarray, config: DecoderConfig,
                  dtype=np.float64) -> tuple[np.ndarray, ...]:
     """The package's one Sc/Scl/Bp dispatch: decode (R, N) LLR rows with a
     plain config, SC and BP in dtype and SCL in float64; any other config
-    is a TypeError.  Returns u and x (R, L, N), iteration counts (1 but for
-    BP) and validity (R, L), where L is 1 but for SCL: its slots in metric
-    order, unused ones invalid."""
+    is a TypeError.  Returns codeword candidates (R, L, N), BP's as its
+    message estimate re-encoded, iteration counts (1 but for BP) and
+    validity (R, L), where L is 1 but for SCL: its slots in metric order,
+    unused ones invalid."""
     if isinstance(config, Scl):
-        u, x, pm = scl_decode_batch(spec, llrs, config.list_size)
-        return u, x, np.ones(pm.shape, np.int64), np.isfinite(pm)
+        _, x, pm = scl_decode_batch(spec, llrs, config.list_size)
+        return x, np.ones(pm.shape, np.int64), np.isfinite(pm)
     if isinstance(config, Sc):
-        (u, x), iters = sc_decode_batch(spec, llrs, dtype), np.ones(len(llrs), np.int64)
+        x, iters = sc_decode_batch(spec, llrs, dtype)[1], np.ones(len(llrs), np.int64)
     elif isinstance(config, Bp):
-        u, x, iters, _ = bp_decode_batch(spec, llrs, config.max_iters,
+        u, _, iters, _ = bp_decode_batch(spec, llrs, config.max_iters,
                                          config.stopping, dtype=dtype)
+        x = polar_transform(u)
     else:
         raise TypeError(f"unsupported decoder {config!r}")
-    return u[:, None], x[:, None], iters[:, None], np.ones((len(llrs), 1), bool)
+    return x[:, None], iters[:, None], np.ones((len(llrs), 1), bool)
 
 
-def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
+def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray | None,
                     constituent: DecoderConfig, dtype=np.float64
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run every ensemble branch of a batch of frames, SC and BP in dtype
     and SCL in float64 (see _decode_rows).
 
     llrs is (F, N).  tables holds compiled index tables t, either (M, N)
-    shared by all frames or (F, M, N) per frame.  Branch j interleaves by
-    gathering, llr[t_j], and de-interleaves its estimates by scattering
-    through the same table, out[t_j[i]] = x[i]; no inverse table is built.
-    Returns candidates (F, C, N), de-interleaved, and their branch indices,
-    iteration counts and validity (see _decode_rows), each (F, C).  C = M*L,
-    ordered by branch, then list slot: candidate c came from branch c // L.
+    shared by all frames or (F, M, N) per frame, or is None for a plain
+    decoder: one branch that decodes llrs as they are, with no gather and
+    no scatter.  Branch j interleaves by gathering, llr[t_j], and
+    de-interleaves its estimates by scattering through the same table,
+    out[t_j[i]] = x[i]; no inverse table is built.  Returns codeword
+    candidates (F, C, N), de-interleaved, and their branch indices,
+    iteration counts and validity (see _decode_rows), each (F, C).
+    C = M*L, ordered by branch, then list slot: candidate c came from
+    branch c // L.
 
     One flat index, t_j + f*N for frame f's branch j, gathers all R = F*M
     branch rows and, moved to candidate row (f*M + j)*L + l, scatters their
@@ -406,6 +414,9 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
     tables must be compiled permutations (compile_tables): an entry outside
     0..N-1 is not caught and would read another frame's LLRs.
     """
+    if tables is None:
+        x, iters, valid = _decode_rows(spec, llrs, constituent, dtype)
+        return x, np.zeros(valid.shape, np.int64), iters, valid
     fsz, n = llrs.shape
     msz = tables.shape[-2]
     index = (tables + np.arange(0, fsz * n, n)[:, None, None]).reshape(fsz * msz, n)
@@ -413,12 +424,7 @@ def decode_branches(spec: CodeSpec, llrs: np.ndarray, tables: np.ndarray,
         rows = llrs.reshape(-1)[index]
     else:  # a gather and then a transposing copy beat any transposed index
         rows = np.ascontiguousarray(np.asarray(llrs, dtype).reshape(-1)[index].T).T
-    u, x, iters, valid = _decode_rows(spec, rows, constituent, dtype)
-    if isinstance(constituent, Bp):
-        # candidates must be codewords for the correlation selection to be
-        # meaningful: re-encode the message estimate (equal to the codeword
-        # hard decision whenever the branch converged)
-        x = polar_transform(u)
+    x, iters, valid = _decode_rows(spec, rows, constituent, dtype)
     lsz = x.shape[1]
     out = np.empty((fsz, msz, lsz, n), dtype=x.dtype)
     # branch row r = f*M + j: t_j + f*N becomes t_j + r*L*N, and slot l
@@ -475,27 +481,34 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     llr /= sigma ** 2
     np.clip(llr, -L_MAX, L_MAX, out=llr)
 
+    constituent = decoder  # a plain decoder is an ensemble of one, with no table
     if isinstance(decoder, EnsembleConfig):
+        constituent = decoder.constituent
         if decoder.resample_per_frame:
             # one sampler call and one compile for every frame of the chunk
             states = [state for (state,) in _stream_states(decoder.seed, lo, hi)]
             tables = compile_tables(decoder.sample_automorphisms(spec.m, states))
             tables = tables.reshape(fsz, decoder.size, n)
-        x_de, _, iters, valid = decode_branches(spec, llr, tables,
-                                                decoder.constituent,
-                                                dtype=_MC_DTYPE)
-        x_hat = x_de[np.arange(fsz), select_winners(x_de, valid, y)[0]]
-        u_hat = polar_transform(x_hat)
-    else:  # SCL's slot 0 is its best metric; BP keeps its own hard decision
-        u, x, iters, _ = _decode_rows(spec, llr, decoder, dtype=_MC_DTYPE)
-        u_hat, x_hat, iters = u[:, 0], x[:, 0], iters[:, :1]
+    cands, _, iters, valid = decode_branches(spec, llr, tables, constituent,
+                                             dtype=_MC_DTYPE)
+    # the one winner rule: a frame's best-correlation candidate
+    if cands.shape[1] == 1:
+        x_hat = cands[:, 0]
+    else:
+        x_hat = cands[np.arange(fsz), select_winners(cands, valid, y)[0]]
     # every candidate is one constituent run (1 iteration for SC/SCL)
     iters_sum = iters.sum(axis=1).astype(np.float64)
     runs = np.full(fsz, iters.shape[1], dtype=np.int64)
 
     blk = np.any(x_hat != x_true, axis=1)
-    bits = np.count_nonzero(u_hat[:, spec.info_indices] != msgs, axis=1)
-    return blk, bits.astype(np.int64), iters_sum, runs
+    # a frame whose codeword is right has its message right, so only the
+    # block-error frames are transformed back to their messages (the
+    # transform costs about 20 us even on no rows)
+    bits = np.zeros(fsz, np.int64)
+    if blk.any():
+        u_hat = polar_transform(x_hat[blk])
+        bits[blk] = np.count_nonzero(u_hat[:, spec.info_indices] != msgs[blk], axis=1)
+    return blk, bits, iters_sum, runs
 
 
 def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None,

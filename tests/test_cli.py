@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import aedcodes
 import aedcodes.simulation as simulation
 from aedcodes import Bp, Scl, rm_code, write_frozen_file
 from aedcodes.cli import main
@@ -24,6 +27,15 @@ def run_cli(capsys, *argv):
 def parse_csv(text):
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     return list(csv.reader(io.StringIO("\n".join(lines))))
+
+
+def test_pyproject_version_is_the_package_version():
+    """A declared change bumps the version in pyproject.toml and
+    __version__ (which manifests record) by hand; they must agree."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    version = re.search(r'^version = "([^"]+)"$', project, re.M)
+    assert version is not None and version.group(1) == aedcodes.__version__
 
 
 # ---------------------------------------------------------------------------

@@ -76,12 +76,30 @@ def test_candidates_are_codewords_all_constituents():
     rng = np.random.default_rng(3)
     for constituent in (Sc(), Scl(4), Bp(30, True)):
         cfg = EnsembleConfig(4, "ga", constituent, seed=5)
-        tables = compile_tables(cfg.sample_automorphisms(spec.m))
-        _, y, llr = make_frames(spec, rng, 5, sigma=1.0)
-        x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
-        _, scores = select_winners(x_de, valid, y)
-        for f, c in zip(*np.nonzero(np.isfinite(scores))):
-            assert in_code(spec, x_de[f, c])
+        # tables=None is a plain decoder: one branch, no interleave
+        for tables in (compile_tables(cfg.sample_automorphisms(spec.m)), None):
+            _, y, llr = make_frames(spec, rng, 5, sigma=1.0)
+            x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
+            _, scores = select_winners(x_de, valid, y)
+            for f, c in zip(*np.nonzero(np.isfinite(scores))):
+                assert in_code(spec, x_de[f, c])
+
+
+@pytest.mark.parametrize("fsz,csz,n", [(4, 32, 64), (256, 1, 64), (256, 32, 256)])
+def test_select_winners_scores_equal_the_sign_expression(fsz, csz, n):
+    """select_winners builds its +-1 signs in place, in blocks of frames
+    (64 of them at (256, 32, 256)); its scores equal those of
+    (1 - 2x) @ y on the whole batch bit for bit, and invalid slots score
+    -inf."""
+    rng = np.random.default_rng(fsz + csz)
+    x = rng.integers(0, 2, (fsz, csz, n), dtype=np.uint8)
+    y = rng.normal(0.0, 1.0, (fsz, n))
+    valid = rng.random((fsz, csz)) < 0.8 if csz > 1 else np.ones((fsz, csz), bool)
+    win, scores = select_winners(x, valid, y)
+    want = ((1.0 - 2.0 * x.astype(np.float64)) @ y[:, :, None])[:, :, 0]
+    want[~valid] = -np.inf
+    assert np.array_equal(scores, want)
+    assert np.array_equal(win, np.argmax(want, axis=1))
 
 
 def test_tied_scores_go_to_lowest_candidate():

@@ -8,6 +8,11 @@ the pinned CSV rows (the seconds column aside), and replay from that
 manifest to the same rows.  A change that moves a byte of a manifest or a
 decision of a run fails here; a declared change re-pins these with the
 manifest version it bumps.
+
+Manifest 0.6.0 made a plain decoder an ensemble of one: plain BP's
+codeword is its message estimate re-encoded, which moved rm25-bp25's block
+errors, and so its BLER, at 1 and 2 dB (71 -> 67, 27 -> 26).  Apart from
+those rows and the version, no byte moved.
 """
 
 import json
@@ -25,7 +30,7 @@ FROZEN = "1111100010000000"  # m = 4, k = 10; written to a file per test
 
 def _head(code: dict, target_errors=None, all_zero=False) -> dict:
     """The run keys every manifest starts with, in written order."""
-    return {"tool": "aedcodes", "version": "0.5.0", "code": code,
+    return {"tool": "aedcodes", "version": "0.6.0", "code": code,
             "ebn0_grid": [1.0, 2.0, 3.0], "frames": 200,
             "target_errors": target_errors, "seed": 5, "all_zero": all_zero}
 
@@ -50,8 +55,8 @@ RUNS = {
     "rm25-bp25": (
         ["--rm", "2,5", "--decoder", "bp", "--iters", "25", "--target-errors", "0"],
         {**_head(RM25), "constituent": BP25},
-        ['"RM(2,5)",bp,-,0,0,1.0,200,71,0.355,0.1128125,10.33',
-         '"RM(2,5)",bp,-,0,0,2.0,200,27,0.135,0.0478125,5.385',
+        ['"RM(2,5)",bp,-,0,0,1.0,200,67,0.335,0.1128125,10.33',
+         '"RM(2,5)",bp,-,0,0,2.0,200,26,0.13,0.0478125,5.385',
          '"RM(2,5)",bp,-,0,0,3.0,200,9,0.045,0.0178125,3.325']),
     "rm25-aut4ga-sc-resampled": (
         ["--rm", "2,5", "--ensemble", "4", "--resample-per-frame",

@@ -12,9 +12,9 @@ import pytest
 import aedcodes.simulation as simulation
 from aedcodes import (AffineAutomorphism, Bp, CapacityError, ChannelConfig,
                       EnsembleConfig, Sc, Scl, compile_tables, decode_branches,
-                      encode, enumerate_codebook, ml_decode_oracle, rm_code,
-                      run_mc, saturate, sc_decode_batch, select_winners,
-                      transmit)
+                      encode, enumerate_codebook, ml_decode_oracle,
+                      polar_transform, rm_code, run_mc, saturate,
+                      sc_decode_batch, select_winners, transmit)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
                                  _stream_states, format_csv_row)
 from test_automorphisms import compile_brute, sample_ensemble_scalar
@@ -292,6 +292,37 @@ def test_ensemble_decode_agrees_with_run_mc_frame_by_frame():
         spec, saturate(2.0 * y / ch.sigma ** 2), tables, cfg.constituent)
     win, _ = select_winners(x_de, valid, y)
     assert np.array_equal(np.any(x_de[np.arange(frames), win] != x, axis=1), blk)
+
+
+@pytest.mark.parametrize("decoder", [Sc(), Scl(4), Bp(10)], ids=["sc", "scl4", "bp10"])
+def test_plain_decoder_is_an_ensemble_of_one(decoder):
+    """A plain decoder's chunk decides as the one-branch ensemble with the
+    identity table does: its best-correlation codeword candidate, whose
+    message is that codeword transformed back.  Every frame is rebuilt
+    from its streams, and the block-error flags and bit-error counts of
+    _eval_chunk must equal those of decode_branches, select_winners and
+    polar_transform on the rebuilt frames."""
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(1.5, spec.rate, seed=22)
+    frames = 200
+    blk, bits, _, _ = _eval_chunk(spec, decoder, ch, 0, frames, False)
+    assert 0 < blk.sum() < frames
+    msgs, ys = [], []
+    for f in range(frames):
+        msg_ss, noise_ss = _frame_stream(ch.seed, f).spawn(2)
+        msgs.append(np.random.default_rng(msg_ss).integers(0, 2, spec.k, dtype=np.uint8))
+        x = encode(spec, msgs[-1])
+        ys.append((1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
+            0.0, ch.sigma, spec.n))
+    msgs, y = np.stack(msgs), np.stack(ys)
+    x_de, _, _, valid = decode_branches(spec, saturate(2.0 * y / ch.sigma ** 2),
+                                        np.arange(spec.n)[None], decoder,
+                                        dtype=simulation._MC_DTYPE)
+    win, _ = select_winners(x_de, valid, y)
+    x_hat = x_de[np.arange(frames), win]
+    assert np.array_equal(blk, np.any(x_hat != encode(spec, msgs), axis=1))
+    u_hat = polar_transform(x_hat)[:, spec.info_indices]
+    assert np.array_equal(bits, np.count_nonzero(u_hat != msgs, axis=1))
 
 
 # ---------------------------------------------------------------------------
