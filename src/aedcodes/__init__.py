@@ -16,7 +16,8 @@ from .decoders import (L_MAX, Bp, Sc, Scl, bp_decode_batch, boxplus, saturate,
 from .ensemble import (EnsembleConfig, VerificationReport,
                        conjugated_sc_branch, select_winners,
                        verify_lta_absorption, verify_lta_commutation)
-from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, decode_branches,
-                         format_csv_row, ml_decode_oracle, run_mc, transmit)
+from .simulation import (CSV_HEADER, ChannelConfig, SimRecord, build_frames,
+                         decode_branches, format_csv_row, ml_decode_oracle,
+                         run_mc)
 
 __version__ = "0.6.0"

@@ -5,11 +5,13 @@ one branch with no table, and every frame's decision is its
 best-correlation codeword candidate (select_winners; with one candidate,
 that one).
 
-Every frame draws its message and noise from streams derived from
-(channel seed, frame index), so runs are reproducible bit-for-bit, results
-never depend on batching or worker count, and different decoder
-configurations under the same channel seed see identical noise (paired
-comparisons).  Frame f's root stream is
+build_frames is the one frame path: it draws the messages and the noise
+of a range of frames, encodes them and forms the received vectors and
+LLRs, and _eval_chunk decodes what it returns.  Every frame draws its
+message and noise from streams derived from (channel seed, frame index),
+so runs are reproducible bit-for-bit, results never depend on batching or
+worker count, and different decoder configurations under the same channel
+seed see identical noise (paired comparisons).  Frame f's root stream is
 `np.random.SeedSequence(seed, spawn_key=(f,))` (_frame_stream); its first
 two spawned children seed `default_rng` for the message and the noise, and
 a resampled ensemble draws frame f's automorphisms from the root stream
@@ -21,9 +23,9 @@ stream's first ceil(k / 8) raw PCG64 words, bit-identical to
 words for every frame of the chunk at once by jumping the 128-bit LCG ahead
 (see there).  The noise streams are read one frame at a time, by loading
 each state (_pcg64_state) into one reused generator, and a resampled
-ensemble hands sample_ensemble its chunk's automorphism states
-(_stream_states) as a list.  _frame_stream, Generator.integers and
-random_raw remain the definition and the test oracle.
+ensemble hands sample_ensemble its chunk's automorphism states, loaded the
+same way, as a list.  _frame_stream, Generator.integers and random_raw
+remain the definition and the test oracle.
 Monte-Carlo SC and BP decoding run in float32 for throughput (_MC_DTYPE);
 SCL runs in float64, and the decoder APIs themselves default to float64.
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from .automorphisms import compile_tables
 from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
                     encode, polar_transform)
 from .decoders import (CHUNK_ROWS, L_MAX, Bp, Sc, Scl, bp_decode_batch,
-                       saturate, sc_decode_batch, scl_decode_batch)
+                       sc_decode_batch, scl_decode_batch)
 from .ensemble import DecoderConfig, EnsembleConfig, check_seed, select_winners
 
 # The one bound on the kernels' working set: a chunk holds
@@ -113,21 +116,6 @@ class SimRecord:
     def ber(self) -> float:
         total = self.frames * self.info_bits
         return self.bit_errors / total if total else 0.0
-
-
-def transmit(spec: CodeSpec, u, ch: ChannelConfig, rng: np.random.Generator
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode, BPSK-map (bit 0 -> +1) and add white Gaussian noise.
-
-    Returns the received vector y and the channel LLRs 2 y / sigma^2,
-    saturated to +-L_MAX.
-    """
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (spec.k,):
-        raise ValueError(f"message length {u.shape} != k={spec.k}")
-    x = encode(spec, u)
-    y = (1.0 - 2.0 * x) + rng.normal(0.0, ch.sigma, spec.n)
-    return y, saturate(2.0 * y / ch.sigma ** 2)
 
 
 def ml_decode_oracle(spec: CodeSpec, y) -> np.ndarray:
@@ -292,14 +280,6 @@ def _stream_words(seed: int, lo: int, hi: int, children: int = 0) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def _stream_states(seed: int, lo: int, hi: int, children: int = 0):
-    """PCG64 states, as default_rng seeds them, of the streams that
-    _stream_words describes: one tuple of `bit_generator.state` dicts per
-    frame, one dict per stream."""
-    for frame in _stream_words(seed, lo, hi, children).tolist():
-        yield tuple(_pcg64_state(*kind) for kind in frame)
-
-
 @functools.lru_cache(maxsize=8)
 def _jump_consts(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Limbs of the constants that take a PCG64's generate_state words to
@@ -365,6 +345,52 @@ def _raw_words(words: np.ndarray, count: int) -> np.ndarray:
     out = np.empty(x.shape, dtype="<u8")
     np.bitwise_or(x >> rot, x << (-rot & _U63), out=out)
     return out
+
+
+def build_frames(spec: CodeSpec, ch: ChannelConfig, lo: int, hi: int,
+                 all_zero: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Frames lo..hi-1 of a Monte-Carlo run on channel ch, exactly as run_mc
+    transmits them: (F, k) uint8 messages (all zero with `all_zero`), their
+    (F, N) uint8 codewords, BPSK-mapped (bit 0 -> +1) received vectors y and
+    channel LLRs 2 y / sigma^2 saturated to +-L_MAX, both (F, N) float64.
+    Frame f depends only on (spec, ch, f); frame indices run from 0 to
+    2**64 - 1; a bound that is not an integer is a TypeError."""
+    lo, hi = operator.index(lo), operator.index(hi)
+    if not 0 <= lo <= hi <= 1 << 64:
+        raise ValueError(f"frame range {lo}..{hi} is not within 0 <= lo <= hi <= 2**64")
+    fsz = hi - lo
+    n, k = spec.n, spec.k
+    sigma = ch.sigma
+    words = _stream_words(ch.seed, lo, hi, children=2)
+    if all_zero:
+        msgs = np.zeros((fsz, k), dtype=np.uint8)
+    else:
+        # integers(0, 2, k, dtype=uint8) returns the top bit of byte j of the
+        # little-endian stream of raw 64-bit words as message bit j (numpy's
+        # bounded uint8 method never rejects for a range of 2), so a message
+        # is its stream's first ceil(k / 8) raw words
+        msgs = _raw_words(words[:, 0], -(-k // 8)).view(np.uint8)[:, :k] >> 7
+    # normal(0, sigma) is 0.0 + sigma z, which differs from sigma z only in
+    # the sign of a zero; y = (1 - 2x) + noise below erases that sign
+    noise = np.empty((fsz, n))
+    rng = np.random.Generator(np.random.PCG64(0))  # reseeded for every stream
+    bitgen = rng.bit_generator
+    for t, noise_words in enumerate(words[:, 1].tolist()):
+        bitgen.state = _pcg64_state(*noise_words)
+        rng.standard_normal(out=noise[t])
+    noise *= sigma
+    x = encode(spec, msgs)
+    # y = (1 - 2x) + noise and llr = saturate(2y / sigma^2), in place and
+    # rounded in the same order (-2x + 1 is exactly 1 - 2x); y takes over
+    # the noise buffer
+    llr = np.multiply(x, -2.0, out=np.empty((fsz, n)))
+    llr += 1.0
+    y = np.add(llr, noise, out=noise)
+    np.multiply(y, 2.0, out=llr)
+    llr /= sigma ** 2
+    np.clip(llr, -L_MAX, L_MAX, out=llr)
+    return msgs, x, y, llr
 
 
 def _decode_rows(spec: CodeSpec, llrs: np.ndarray, config: DecoderConfig,
@@ -449,46 +475,17 @@ def _eval_chunk(spec: CodeSpec, decoder, ch: ChannelConfig, lo: int, hi: int,
     once per run; a resampled one is drawn here, each frame from its own
     stream, as arrays in one sampler call, and compiled in one call.
     Results for a frame depend only on (spec, decoder, ch, frame index)."""
+    msgs, x_true, y, llr = build_frames(spec, ch, lo, hi, all_zero)
     fsz = hi - lo
-    n, k = spec.n, spec.k
-    sigma = ch.sigma
-    words = _stream_words(ch.seed, lo, hi, children=2)
-    if all_zero:
-        msgs = np.zeros((fsz, k), dtype=np.uint8)
-    else:
-        # integers(0, 2, k, dtype=uint8) returns the top bit of byte j of the
-        # little-endian stream of raw 64-bit words as message bit j (numpy's
-        # bounded uint8 method never rejects for a range of 2), so a message
-        # is its stream's first ceil(k / 8) raw words
-        msgs = _raw_words(words[:, 0], -(-k // 8)).view(np.uint8)[:, :k] >> 7
-    # normal(0, sigma) is 0.0 + sigma z, which differs from sigma z only in
-    # the sign of a zero; y = (1 - 2x) + noise below erases that sign
-    noise = np.empty((fsz, n))
-    rng = np.random.Generator(np.random.PCG64(0))  # reseeded for every stream
-    bitgen = rng.bit_generator
-    for t, noise_words in enumerate(words[:, 1].tolist()):
-        bitgen.state = _pcg64_state(*noise_words)
-        rng.standard_normal(out=noise[t])
-    noise *= sigma
-    x_true = encode(spec, msgs)
-    # y = (1 - 2x) + noise and llr = saturate(2y / sigma^2), in place and
-    # rounded in the same order (-2x + 1 is exactly 1 - 2x); y takes over
-    # the noise buffer
-    llr = np.multiply(x_true, -2.0, out=np.empty((fsz, n)))
-    llr += 1.0
-    y = np.add(llr, noise, out=noise)
-    np.multiply(y, 2.0, out=llr)
-    llr /= sigma ** 2
-    np.clip(llr, -L_MAX, L_MAX, out=llr)
-
     constituent = decoder  # a plain decoder is an ensemble of one, with no table
     if isinstance(decoder, EnsembleConfig):
         constituent = decoder.constituent
         if decoder.resample_per_frame:
             # one sampler call and one compile for every frame of the chunk
-            states = [state for (state,) in _stream_states(decoder.seed, lo, hi)]
+            states = [_pcg64_state(*w)
+                      for w in _stream_words(decoder.seed, lo, hi)[:, 0].tolist()]
             tables = compile_tables(decoder.sample_automorphisms(spec.m, states))
-            tables = tables.reshape(fsz, decoder.size, n)
+            tables = tables.reshape(fsz, decoder.size, spec.n)
     cands, _, iters, valid = decode_branches(spec, llr, tables, constituent,
                                              dtype=_MC_DTYPE)
     # the one winner rule: a frame's best-correlation candidate

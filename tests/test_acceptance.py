@@ -12,8 +12,8 @@ from aedcodes import (AffineAutomorphism, Bp, ChannelConfig, EnsembleConfig,
                       Sc, Scl, compile_tables, compose, decode_branches,
                       encode, enumerate_codebook, in_code, is_decreasing,
                       mlup_decompose, ml_decode_oracle, polar_transform,
-                      rm_code, run_mc, sample, sc_decode_batch,
-                      scl_decode_batch, select_winners, split_subcodes, transmit,
+                      rm_code, run_mc, sample, saturate, sc_decode_batch,
+                      scl_decode_batch, select_winners, split_subcodes,
                       pointwise_product_in_lower, verify_lta_absorption,
                       verify_lta_commutation)
 from aedcodes.automorphisms import mat_inv
@@ -219,7 +219,9 @@ def test_criterion_7_ml_oracle_equivalence():
         frames = []
         for _ in range(1000):
             u = rng.integers(0, 2, spec.k, dtype=np.uint8)
-            frames.append((u, *transmit(spec, u, ch, rng)))
+            x = encode(spec, u)
+            y = (1.0 - 2.0 * x) + rng.normal(0.0, ch.sigma, spec.n)
+            frames.append((u, y, saturate(2.0 * y / ch.sigma ** 2)))
         u, y, llr = map(np.stack, zip(*frames))
         x = encode(spec, u)
         ml = np.stack([ml_decode_oracle(spec, row) for row in y])

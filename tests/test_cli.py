@@ -38,6 +38,16 @@ def test_pyproject_version_is_the_package_version():
     assert version is not None and version.group(1) == aedcodes.__version__
 
 
+def test_pyproject_numpy_floor_has_bitwise_count():
+    """codes._popcount calls np.bitwise_count, which numpy 2.0 added, so
+    the declared numpy floor is at least 2.0."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    floor = re.search(r'^dependencies = \[.*"numpy>=([0-9.]+)".*\]$', project, re.M)
+    assert floor is not None
+    assert tuple(int(p) for p in floor.group(1).split(".")) >= (2, 0)
+
+
 # ---------------------------------------------------------------------------
 # code-info
 

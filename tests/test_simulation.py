@@ -11,12 +11,12 @@ import pytest
 
 import aedcodes.simulation as simulation
 from aedcodes import (AffineAutomorphism, Bp, CapacityError, ChannelConfig,
-                      EnsembleConfig, Sc, Scl, compile_tables, decode_branches,
-                      encode, enumerate_codebook, ml_decode_oracle,
-                      polar_transform, rm_code, run_mc, saturate,
-                      sc_decode_batch, select_winners, transmit)
+                      EnsembleConfig, Sc, Scl, build_frames, compile_tables,
+                      decode_branches, encode, enumerate_codebook,
+                      ml_decode_oracle, polar_transform, rm_code, run_mc,
+                      saturate, sc_decode_batch, select_winners)
 from aedcodes.simulation import (CSV_HEADER, _eval_chunk, _frame_stream,
-                                 _stream_states, format_csv_row)
+                                 _pcg64_state, _stream_words, format_csv_row)
 from test_automorphisms import compile_brute, sample_ensemble_scalar
 
 
@@ -31,7 +31,7 @@ def test_seed_must_be_a_non_negative_integer():
         with pytest.raises(exc):
             EnsembleConfig(2, "ga", Sc(), seed=bad)
         with pytest.raises(exc):
-            next(_stream_states(bad, 0, 2))
+            _stream_words(bad, 0, 2)
     assert ChannelConfig(2.0, 0.5, seed=np.int64(3)).seed == 3
     assert EnsembleConfig(2, "ga", Sc(), seed=2**130).seed == 2**130
 
@@ -59,35 +59,64 @@ def test_sigma_formula():
     assert ChannelConfig(-3000.0, 0.5).sigma == 1e150
 
 
-def test_transmit_noiseless_limit():
+def test_build_frames_noiseless_limit():
     spec = rm_code(2, 4)
     ch = ChannelConfig(60.0, spec.rate, seed=1)  # sigma ~ 1e-3
-    rng = np.random.default_rng(0)
-    u = rng.integers(0, 2, spec.k, dtype=np.uint8)
-    x = encode(spec, u)
-    y, llr = transmit(spec, u, ch, rng)
+    msgs, x, _, llr = build_frames(spec, ch, 0, 50)
+    assert np.array_equal(x, encode(spec, msgs)) and msgs.any()
     assert np.array_equal(llr < 0, x == 1)
-    assert llr.shape == (spec.n,) and y.shape == (spec.n,)
 
 
-def test_transmit_llr_mean():
+def test_build_frames_llr_mean():
     spec = rm_code(3, 7)
     ch = ChannelConfig(2.0, spec.rate, seed=1)
-    rng = np.random.default_rng(1)
-    u = np.zeros(spec.k, dtype=np.uint8)
-    total, count = 0.0, 0
-    for _ in range(8000):
-        _, llr = transmit(spec, u, ch, rng)
-        total += llr.sum()
-        count += llr.size
+    msgs, x, _, llr = build_frames(spec, ch, 0, 8000, all_zero=True)
+    assert not msgs.any() and not x.any()
     expect = 2.0 / ch.sigma ** 2
-    assert abs(total / count - expect) / expect < 0.01
+    assert abs(llr.mean() - expect) / expect < 0.01
 
 
-def test_transmit_length_check():
-    with pytest.raises(ValueError):
-        transmit(rm_code(1, 3), np.zeros(3, np.uint8),
-                 ChannelConfig(2.0, 0.5), np.random.default_rng(0))
+@pytest.mark.parametrize("all_zero", [False, True])
+def test_build_frames_shapes_and_dtypes(all_zero):
+    spec = rm_code(1, 3)
+    ch = ChannelConfig(2.0, spec.rate, seed=4)
+    msgs, x, y, llr = build_frames(spec, ch, 7, 12, all_zero)
+    assert (msgs.shape, msgs.dtype) == ((5, spec.k), np.uint8)
+    assert (x.shape, x.dtype) == ((5, spec.n), np.uint8)
+    for a in (y, llr):
+        assert (a.shape, a.dtype) == ((5, spec.n), np.float64)
+    for out in build_frames(spec, ch, 3, 3, all_zero):
+        assert out.shape[0] == 0
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (3, 2), (0, 2**64 + 1),
+                                   (2**64, 2**64 + 1), (-5, -1)])
+def test_build_frames_refuses_a_range_outside_the_frame_indices(lo, hi):
+    spec = rm_code(1, 3)
+    with pytest.raises(ValueError, match=f"frame range {lo}..{hi} "):
+        build_frames(spec, ChannelConfig(2.0, spec.rate), lo, hi)
+
+
+def test_build_frames_takes_integer_bounds_only():
+    spec = rm_code(1, 3)
+    ch = ChannelConfig(2.0, spec.rate)
+    for lo, hi in [(0.0, 2), (0, 2.5), ("0", 2), (None, 2)]:
+        with pytest.raises(TypeError):
+            build_frames(spec, ch, lo, hi)
+    for a, b in zip(build_frames(spec, ch, np.int64(1), np.uint64(3)),
+                    build_frames(spec, ch, 1, 3)):
+        assert np.array_equal(a, b)
+
+
+def test_build_frames_is_independent_of_the_range_split():
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(1.5, spec.rate, seed=2**32 + 1)
+    whole = build_frames(spec, ch, 0, 300)
+    parts = [build_frames(spec, ch, lo, hi) for lo, hi in ((0, 137), (137, 300))]
+    for a, b, c in zip(whole, *parts):
+        assert np.array_equal(a, np.concatenate([b, c]))
+    # the last frame indices are valid frames too
+    assert build_frames(spec, ch, 2**64 - 1, 2**64)[0].shape == (1, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +146,8 @@ def test_oracle_never_beaten_by_sc_paired():
     for _ in range(400):
         u = rng.integers(0, 2, spec.k, dtype=np.uint8)
         x = encode(spec, u)
-        y, llr = transmit(spec, u, ch, rng)
+        y = (1.0 - 2.0 * x) + rng.normal(0.0, ch.sigma, spec.n)
+        llr = saturate(2.0 * y / ch.sigma ** 2)
         oracle_err += not np.array_equal(ml_decode_oracle(spec, y), x)
         sc_err += not np.array_equal(sc_decode_batch(spec, llr[None])[1][0], x)
     assert oracle_err <= sc_err
@@ -269,9 +299,9 @@ def test_run_mc_draws_a_fixed_ensemble_once(monkeypatch):
 
 
 def test_ensemble_decode_agrees_with_run_mc_frame_by_frame():
-    # rebuild every frame from its streams: decode_branches and
-    # select_winners on the rebuilt frames and the Monte-Carlo chunk must
-    # make the same block error decisions
+    # decode_branches and select_winners on the run's frames, from
+    # build_frames, and the Monte-Carlo chunk must make the same block
+    # error decisions
     spec = rm_code(2, 5)
     ch = ChannelConfig(1.5, spec.rate, seed=20)
     cfg = EnsembleConfig(4, "ga", Scl(2), seed=21)
@@ -279,17 +309,8 @@ def test_ensemble_decode_agrees_with_run_mc_frame_by_frame():
     frames = 200
     blk, _, _, _ = _eval_chunk(spec, cfg, ch, 0, frames, False, tables)
     assert 0 < blk.sum() < frames
-    xs, ys = [], []
-    for f in range(frames):
-        msg_ss, noise_ss = _frame_stream(ch.seed, f).spawn(2)
-        x = encode(spec, np.random.default_rng(msg_ss).integers(
-            0, 2, spec.k, dtype=np.uint8))
-        xs.append(x)
-        ys.append((1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
-            0.0, ch.sigma, spec.n))
-    x, y = np.stack(xs), np.stack(ys)
-    x_de, _, _, valid = decode_branches(
-        spec, saturate(2.0 * y / ch.sigma ** 2), tables, cfg.constituent)
+    _, x, y, llr = build_frames(spec, ch, 0, frames)
+    x_de, _, _, valid = decode_branches(spec, llr, tables, cfg.constituent)
     win, _ = select_winners(x_de, valid, y)
     assert np.array_equal(np.any(x_de[np.arange(frames), win] != x, axis=1), blk)
 
@@ -298,43 +319,27 @@ def test_ensemble_decode_agrees_with_run_mc_frame_by_frame():
 def test_plain_decoder_is_an_ensemble_of_one(decoder):
     """A plain decoder's chunk decides as the one-branch ensemble with the
     identity table does: its best-correlation codeword candidate, whose
-    message is that codeword transformed back.  Every frame is rebuilt
-    from its streams, and the block-error flags and bit-error counts of
-    _eval_chunk must equal those of decode_branches, select_winners and
-    polar_transform on the rebuilt frames."""
+    message is that codeword transformed back.  The block-error flags and
+    bit-error counts of _eval_chunk must equal those of decode_branches,
+    select_winners and polar_transform on the run's frames, from
+    build_frames."""
     spec = rm_code(2, 5)
     ch = ChannelConfig(1.5, spec.rate, seed=22)
     frames = 200
     blk, bits, _, _ = _eval_chunk(spec, decoder, ch, 0, frames, False)
     assert 0 < blk.sum() < frames
-    msgs, ys = [], []
-    for f in range(frames):
-        msg_ss, noise_ss = _frame_stream(ch.seed, f).spawn(2)
-        msgs.append(np.random.default_rng(msg_ss).integers(0, 2, spec.k, dtype=np.uint8))
-        x = encode(spec, msgs[-1])
-        ys.append((1.0 - 2.0 * x) + np.random.default_rng(noise_ss).normal(
-            0.0, ch.sigma, spec.n))
-    msgs, y = np.stack(msgs), np.stack(ys)
-    x_de, _, _, valid = decode_branches(spec, saturate(2.0 * y / ch.sigma ** 2),
-                                        np.arange(spec.n)[None], decoder,
+    msgs, x, y, llr = build_frames(spec, ch, 0, frames)
+    x_de, _, _, valid = decode_branches(spec, llr, np.arange(spec.n)[None], decoder,
                                         dtype=simulation._MC_DTYPE)
     win, _ = select_winners(x_de, valid, y)
     x_hat = x_de[np.arange(frames), win]
-    assert np.array_equal(blk, np.any(x_hat != encode(spec, msgs), axis=1))
+    assert np.array_equal(blk, np.any(x_hat != x, axis=1))
     u_hat = polar_transform(x_hat)[:, spec.info_indices]
     assert np.array_equal(bits, np.count_nonzero(u_hat != msgs, axis=1))
 
 
 # ---------------------------------------------------------------------------
-# frame streams: _stream_states against numpy's SeedSequence
-
-def _seedsequence_states(seed, lo, hi, children):
-    frames = []
-    for f in range(lo, hi):
-        root = _frame_stream(seed, f)
-        frames.append(tuple(np.random.PCG64(ss).state
-                            for ss in (root.spawn(children) if children else [root])))
-    return frames
+# frame streams: _stream_words against numpy's SeedSequence
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 1, 2**128,
@@ -342,9 +347,18 @@ def _seedsequence_states(seed, lo, hi, children):
 @pytest.mark.parametrize("lo,hi", [(0, 4), (9, 10), (2**32 - 2, 2**32 + 2),
                                    (2**40 + 7, 2**40 + 9), (2**64 - 2, 2**64)])
 def test_stream_states_equal_seedsequence_states(seed, lo, hi):
+    """The generate_state words of every frame's root stream, or of its
+    first spawned children, and the PCG64 states default_rng seeds from
+    them."""
     for children in (0, 2, 3):
-        assert list(_stream_states(seed, lo, hi, children)) == \
-            _seedsequence_states(seed, lo, hi, children)
+        words = _stream_words(seed, lo, hi, children)
+        assert words.shape == (hi - lo, max(children, 1), 4)
+        for f, frame in zip(range(lo, hi), words.tolist()):
+            root = _frame_stream(seed, f)
+            streams = root.spawn(children) if children else [root]
+            assert frame == [ss.generate_state(4, np.uint64).tolist() for ss in streams]
+            assert [_pcg64_state(*w) for w in frame] == \
+                [np.random.PCG64(ss).state for ss in streams]
 
 
 class _FixedWords(np.random.bit_generator.ISeedSequence):
@@ -456,21 +470,16 @@ STREAM_CASES = [
 
 
 def _spy_chunk(monkeypatch, spec, decoder, ch, lo, hi, all_zero=False) -> dict:
-    """Run _eval_chunk and return the first messages it encodes ("msgs") and
-    the LLRs and tables it passes to decode_branches."""
+    """Run _eval_chunk and return the LLRs and tables it passes to
+    decode_branches."""
     seen = {}
-    encode, decode_branches = simulation.encode, simulation.decode_branches
-
-    def spy_encode(spec, msgs):
-        seen.setdefault("msgs", msgs.copy())
-        return encode(spec, msgs)
+    decode_branches = simulation.decode_branches
 
     def spy_decode(spec, llrs, tables, *args, **kwargs):
         seen["llrs"], seen["tables"] = llrs.copy(), tables.copy()
         return decode_branches(spec, llrs, tables, *args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(simulation, "encode", spy_encode)
         patch.setattr(simulation, "decode_branches", spy_decode)
         _eval_chunk(spec, decoder, ch, lo, hi, all_zero)
     return seen
@@ -489,26 +498,29 @@ def _oracle_tables(spec, cfg: EnsembleConfig, lo: int, hi: int) -> np.ndarray:
 @pytest.mark.parametrize("ch_seed,ens_seed,lo,hi,all_zero", STREAM_CASES)
 def test_eval_chunk_draws_equal_seedsequence_draws(monkeypatch, ch_seed, ens_seed,
                                                    lo, hi, all_zero):
-    """Messages, noise and resampled automorphisms of every frame equal the
-    draws of default_rng on the frame's SeedSequence streams, looped frame
-    by frame; the automorphisms are those of the reference sampler, for
-    every subgroup."""
+    """build_frames' messages, codewords, received vectors and LLRs, and a
+    chunk's resampled automorphisms, equal the draws of default_rng on every
+    frame's SeedSequence streams, looped frame by frame; the automorphisms
+    are those of the reference sampler, for every subgroup, and the chunk
+    decodes the builder's LLRs."""
     for spec in (rm_code(2, 4), rm_code(4, 8)):  # messages of 2 and 21 raw words
         ch = ChannelConfig(1.0, spec.rate, seed=ch_seed)
-        msgs, llrs = [], []
+        msgs, xs, ys = [], [], []
         for f in range(lo, hi):
-            msg = _seedsequence_message(spec, ch_seed, f, all_zero)
+            msgs.append(_seedsequence_message(spec, ch_seed, f, all_zero))
+            xs.append(encode(spec, msgs[-1]))
             noise_ss = _frame_stream(ch_seed, f).spawn(2)[1]
-            y = (1.0 - 2.0 * encode(spec, msg)) + np.random.default_rng(
-                noise_ss).normal(0.0, ch.sigma, spec.n)
-            msgs.append(msg)
-            llrs.append(saturate(2.0 * y / ch.sigma ** 2))
+            ys.append((1.0 - 2.0 * xs[-1]) + np.random.default_rng(
+                noise_ss).normal(0.0, ch.sigma, spec.n))
+        want = (msgs, xs, ys, saturate(2.0 * np.array(ys) / ch.sigma ** 2))
+        frames = build_frames(spec, ch, lo, hi, all_zero)
+        for got, expect in zip(frames, want):
+            assert np.array_equal(got, np.array(expect))
         for subgroup in ("ga", "lta", "uta", "pi"):
             cfg = EnsembleConfig(3, subgroup, Sc(), resample_per_frame=True,
                                  seed=ens_seed)
             seen = _spy_chunk(monkeypatch, spec, cfg, ch, lo, hi, all_zero)
-            assert np.array_equal(seen["msgs"], np.array(msgs))
-            assert np.array_equal(seen["llrs"], np.array(llrs))
+            assert np.array_equal(seen["llrs"], frames[3])
             assert np.array_equal(seen["tables"], _oracle_tables(spec, cfg, lo, hi))
 
 
@@ -559,24 +571,17 @@ def test_run_mc_builds_no_automorphism_objects(monkeypatch, decoder):
     (4, 8, 0, 3, True),
     (2, 5, 2**32 - 2, 2**32 + 2, False),  # across frame 2**32
 ], ids=["k1", "k7", "k64", "k163", "kN", "all-zero", "frame-2^32"])
-def test_eval_chunk_messages_equal_integers_draws(monkeypatch, r, m, lo, hi, all_zero):
-    """The chunk's messages, read from raw PCG64 words, equal
+def test_eval_chunk_messages_equal_integers_draws(r, m, lo, hi, all_zero):
+    """build_frames' messages, read from raw PCG64 words, equal
     integers(0, 2, k, dtype=uint8) on every frame's message stream, for
     message lengths across byte and word boundaries."""
     spec = rm_code(r, m)
     seed = (5 << 32) + 3
-    seen = []
-    encode = simulation.encode
-
-    def spy_encode(spec, msgs):
-        seen.append(msgs.copy())
-        return encode(spec, msgs)
-
-    monkeypatch.setattr(simulation, "encode", spy_encode)
-    _eval_chunk(spec, Sc(), ChannelConfig(1.0, spec.rate, seed=seed), lo, hi, all_zero)
+    msgs = build_frames(spec, ChannelConfig(1.0, spec.rate, seed=seed), lo, hi,
+                        all_zero)[0]
     want = [_seedsequence_message(spec, seed, f, all_zero) for f in range(lo, hi)]
-    assert seen[0].dtype == np.uint8
-    assert np.array_equal(seen[0], np.array(want))
+    assert msgs.dtype == np.uint8
+    assert np.array_equal(msgs, np.array(want))
 
 
 @pytest.mark.parametrize("decoder", [
