@@ -62,13 +62,13 @@ CHUNK_ROWS = 512
 # EnsembleConfig: plain decoders carry subgroup "-" and M = 0, and L is the
 # list size (1 for SC, 0 for BP).
 
-def check_count(name: str, value) -> None:
-    """Refuse a count no run can use: TypeError unless `value` is an
-    integer (bool excluded), ValueError unless it is >= 1."""
+def check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a count or seed no run can use: TypeError unless `value` is
+    an integer (bool excluded), ValueError unless it is >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer >= 1, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+        raise TypeError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -628,9 +628,13 @@ def bp_decode_batch(spec: CodeSpec, llrs: np.ndarray, max_iters: int,
             nxt = view(lmsg[s + 1], s)
             rcur = view(rmsg[s], s)
             rnxt = view(rmsg[s + 1], s)
-            t = nxt[:, 1] + rcur[:, 1]
-            _boxplus_into(rcur[:, 0], t, rnxt[:, 0])
-            _boxplus_into(rcur[:, 0], nxt[:, 0], t)
+            tr = nxt[:, 1] + rcur[:, 1]
+            _boxplus_into(rcur[:, 0], tr, rnxt[:, 0])
+            # stage 0's rcur[:, 0] boxplus nxt[:, 0] is still in t, from the
+            # right-to-left pass: rmsg[0] holds only the frozen priors, and
+            # nothing has written lmsg[1] since
+            if s:
+                t = _boxplus_into(rcur[:, 0], nxt[:, 0], tr)
             np.add(t, rcur[:, 1], out=rnxt[:, 1])
         if not stopping:
             continue

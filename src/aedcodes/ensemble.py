@@ -20,16 +20,6 @@ DecoderConfig = Sc | Scl | Bp
 _SIGN_BLOCK = 1 << 15
 
 
-def check_seed(seed) -> None:
-    """Accept only what every stream derivation takes as a seed: a
-    non-negative integer.  Raises TypeError for any other type (bool
-    included) and ValueError for a negative value."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Ensemble of `size` constituent decoders conjugated by sampled
@@ -52,15 +42,16 @@ class EnsembleConfig:
 
     def __post_init__(self):
         """Refuse what no run can use: a size that is not an integer >= 1
-        (bool included; TypeError for the type, as check_seed), a subgroup
-        outside SUBGROUPS or a constituent that is not Sc, Scl or Bp."""
+        or a seed that is not an integer >= 0 (bool included; TypeError for
+        the type), a subgroup outside SUBGROUPS or a constituent that is not
+        Sc, Scl or Bp."""
         check_count("ensemble size", self.size)
         if self.subgroup not in SUBGROUPS:
             raise ValueError(f"unknown subgroup {self.subgroup!r}, "
                              f"expected one of {', '.join(SUBGROUPS)}")
         if not isinstance(self.constituent, (Sc, Scl, Bp)):
             raise TypeError(f"constituent must be Sc, Scl or Bp, got {self.constituent!r}")
-        check_seed(self.seed)
+        check_count("seed", self.seed, least=0)
 
     @property
     def kind(self) -> str:

@@ -17,11 +17,13 @@ two spawned children seed `default_rng` for the message and the noise, and
 a resampled ensemble draws frame f's automorphisms from the root stream
 under its own seed.  _stream_words computes the generate_state words of a
 whole chunk of such streams at once, reproducing numpy's hashing bit for
-bit.  A frame's message is the top bit of each byte of its message
-stream's first ceil(k / 8) raw PCG64 words, bit-identical to
+bit: a seed's pool is numpy's own SeedSequence(seed).pool (_seed_pool),
+and _stream_words mixes only the frame and child words into it.  A
+frame's message is the top bit of each byte of its message stream's first
+ceil(k / 8) raw PCG64 words, bit-identical to
 `Generator.integers(0, 2, k, dtype=uint8)`; _raw_words computes those
-words for every frame of the chunk at once by jumping the 128-bit LCG ahead
-(see there).  The noise streams are read one frame at a time, by loading
+words for every frame of the chunk at once by jumping the 128-bit LCG
+ahead (see there).  The noise streams are read one frame at a time, by loading
 each state (_pcg64_state) into one reused generator, and a resampled
 ensemble hands sample_ensemble its chunk's automorphism states, loaded the
 same way, as a list.  _frame_stream, Generator.integers and random_raw
@@ -32,7 +34,9 @@ SCL runs in float64, and the decoder APIs themselves default to float64.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import operator
 import os
@@ -45,8 +49,8 @@ from .automorphisms import compile_tables
 from .codes import (CODEBOOK_K_MAX, CapacityError, CodeSpec, _codebook_chunks,
                     encode, polar_transform)
 from .decoders import (CHUNK_ROWS, L_MAX, Bp, Sc, Scl, bp_decode_batch,
-                       sc_decode_batch, scl_decode_batch)
-from .ensemble import DecoderConfig, EnsembleConfig, check_seed, select_winners
+                       check_count, sc_decode_batch, scl_decode_batch)
+from .ensemble import DecoderConfig, EnsembleConfig, select_winners
 
 # The one bound on the kernels' working set: a chunk holds
 # min(BATCH_FRAMES, max(1, CHUNK_ROWS // M)) frames of an ensemble of M
@@ -73,7 +77,7 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate {self.rate} outside (0, 1]")
-        check_seed(self.seed)
+        check_count("seed", self.seed, least=0)
         # an Eb/N0 that is not finite, or is finite but beyond about
         # +-3,080 dB, puts sigma or 2/sigma^2 outside the positive floats
         try:
@@ -177,16 +181,17 @@ def _hash_consts(hc: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)[:, None, None]
 
 
-def _hashmix(value, pre, post):
-    """SeedSequence's hashmix of 32-bit `value` under hash constant `pre`,
-    whose successor is `post`; Python ints or uint32 arrays (which wrap)."""
-    value = (value ^ pre) * post & _M32
+def _hashmix(value: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of the uint32 array `value` under the uint32
+    hash constants `pre`, whose successors are `post`; uint32 arithmetic
+    wraps, as numpy's does."""
+    value = (value ^ pre) * post
     return value ^ value >> _XSHIFT
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit pool words."""
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays of pool words, wrapping."""
+    value = _MIX_MULT_L * x - _MIX_MULT_R * y
     return value ^ value >> _XSHIFT
 
 
@@ -202,32 +207,19 @@ _KEY_WORDS = 3
 
 @functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pool of SeedSequence(seed, spawn_key=...) once the seed's words are
+    """Pool of SeedSequence(seed, spawn_key=...) before its key words are
     mixed in, as a (4, 1, 1) uint32 array, and the entropy hash constants
     under which the key words are mixed: key word i, hashed under constant
-    4 i + j, is mixed into pool word j.  numpy pads the seed's words with
-    zeros to the pool size because a spawn key follows.  Memoised: a run
-    derives every chunk's streams from the same channel and ensemble seeds;
-    the arrays are read-only."""
-    ent = _words(seed)
-    ent += [0] * (_POOL_SIZE - len(ent))
-    hc = _INIT_A
-
-    def hashmix(value):
-        nonlocal hc
-        pre, hc = hc, hc * _MULT_A & _M32
-        return _hashmix(value, pre, hc)
-
-    pool = [hashmix(w) for w in ent[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in ent[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    pool = np.array(pool, dtype=np.uint32)[:, None, None]
-    consts = _hash_consts(hc, _MULT_A, _KEY_WORDS * _POOL_SIZE)
+    4 i + j, is mixed into pool word j.  The pool is numpy's own
+    SeedSequence(seed).pool: the zeros numpy pads a seed's words with when
+    a spawn key follows are the zeros it hashes into the pool words a short
+    seed leaves empty.  Mixing the seed takes 4 hash constants per word, of
+    at least 4 words.  Memoised: a run derives every chunk's streams from
+    the same channel and ensemble seeds; the arrays are read-only."""
+    pool = np.random.SeedSequence(seed).pool.reshape(_POOL_SIZE, 1, 1)
+    used = _POOL_SIZE * max(_POOL_SIZE, len(_words(seed)))
+    consts = _hash_consts(_INIT_A * pow(_MULT_A, used, 1 << 32) & _M32, _MULT_A,
+                          _KEY_WORDS * _POOL_SIZE)
     pool.setflags(write=False)
     consts.setflags(write=False)
     return pool, consts
@@ -252,11 +244,11 @@ def _stream_words(seed: int, lo: int, hi: int, children: int = 0) -> np.ndarray:
 
     The stream of child c is SeedSequence(seed, spawn_key=(f, c)): its
     entropy is the seed's words, zero-padded to the pool size, then f's
-    words, then c.  The seed's part of the pool is mixed once per seed, in
-    Python ints; the frame and child words are mixed as uint32 arrays over
+    words, then c.  The seed's part of the pool is numpy's own (_seed_pool);
+    only the frame and child words are mixed here, as uint32 arrays over
     the whole chunk, split where f's word count changes (at 2**32; frame
     indices stay below 2**64)."""
-    check_seed(seed)
+    check_count("seed", seed, least=0)
     pool0, consts = _seed_pool(int(seed))
     pieces = [np.empty((0, max(children, 1), 4), dtype=np.uint64)]
     while lo < hi:
@@ -520,12 +512,12 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
     records are reproducible and independent of `workers`, the number of
     worker processes, which is capped at the CPU and chunk counts.
     """
-    if target_errors is not None and target_errors < 0:
-        raise ValueError(f"target_errors must be >= 0, got {target_errors}")
+    if target_errors is not None:
+        check_count("target_errors", target_errors, least=0)
     if frames is None and not target_errors:
         raise ValueError("need a frame budget or a block-error target")
-    if frames is not None and frames < 1:
-        raise ValueError("frame budget must be >= 1")
+    if frames is not None:
+        check_count("frame budget", frames)
     if spec.k == 0:
         raise ValueError("cannot simulate a dimension-0 code")
     if not isinstance(decoder, (DecoderConfig, EnsembleConfig)):
@@ -565,32 +557,25 @@ def run_mc(spec: CodeSpec, decoder, ch: ChannelConfig, frames: int | None = None
         tot["runs"] += int(runs.sum())
         return stop
 
+    chunks = ((spec, decoder, ch, lo, min(lo + step, budget), all_zero, tables)
+              for lo in range(0, budget, step))
     if workers <= 1:
-        lo = 0
-        while lo < budget:
-            hi = min(lo + step, budget)
-            if consume(_eval_chunk(spec, decoder, ch, lo, hi, all_zero, tables)):
+        for args in chunks:
+            if consume(_eval_chunk(*args)):
                 break
-            lo = hi
     else:
         # imported only here: the pool's modules (multiprocessing, socket,
         # subprocess) would add about 20 ms to every import of the package
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {}
-            next_submit = 0
-            next_take = 0
-            stopped = False
-            while next_take < budget and not stopped:
-                while next_submit < budget and len(pending) < workers + 2:
-                    hi = min(next_submit + step, budget)
-                    pending[next_submit] = pool.submit(
-                        _eval_chunk, spec, decoder, ch, next_submit, hi, all_zero,
-                        tables)
-                    next_submit = hi
-                stopped = consume(pending.pop(next_take).result())
-                next_take = min(next_take + step, budget)
-            for fut in pending.values():
+            # up to workers + 2 chunks in flight, consumed in frame order;
+            # the next one is submitted only once the oldest has been
+            # consumed without stopping the run
+            futures = (pool.submit(_eval_chunk, *args) for args in chunks)
+            inflight = collections.deque(itertools.islice(futures, workers + 2))
+            while inflight and not consume(inflight.popleft().result()):
+                inflight.extend(itertools.islice(futures, 1))
+            for fut in inflight:
                 fut.cancel()
 
     return SimRecord(frames=tot["frames"], block_errors=tot["blk"],

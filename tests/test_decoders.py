@@ -12,7 +12,7 @@ import pytest
 
 from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       compile_tables, decode_branches, encode,
-                      enumerate_codebook, in_code,
+                      enumerate_codebook, in_code, polar_code,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
 from aedcodes import decoders
@@ -518,6 +518,17 @@ def test_bp_batch_independent_of_batching():
     for i in (0, 7, 23):
         u1, x1, it1, cv1 = bp_decode_batch(spec, llrs[i:i + 1], 25, True)
         assert np.array_equal(x1[0], x_all[i]) and it1[0] == it_all[i]
+
+
+def test_bp_decodes_length_one_codes():
+    """m = 0 leaves BP no stage to update: a row's decision is its channel
+    LLR's sign, or the frozen prior's."""
+    llrs = np.array([[-1.0], [2.0]])
+    for spec, want in ((rm_code(0, 0), [[1], [0]]), (polar_code(0, [True]), [[0], [0]])):
+        for stopping, iters in ((True, 1), (False, 5)):
+            u, x, it, conv = bp_decode_batch(spec, llrs, 5, stopping)
+            assert u.tolist() == x.tolist() == want
+            assert it.tolist() == [iters] * 2 and conv.tolist() == [stopping] * 2
 
 
 def test_bp_parameter_errors():

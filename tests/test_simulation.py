@@ -218,6 +218,65 @@ def test_run_mc_starts_no_more_workers_than_chunks(monkeypatch):
     assert (rec.frames, rec.block_errors, rec.bit_errors) == (512, 64, 379)
 
 
+def test_run_mc_pipeline_consumes_in_order_and_cancels_after_the_target(monkeypatch):
+    """With 3 workers at most 5 chunks are outstanding, results are read in
+    frame order, nothing is submitted once the chunk that reaches the
+    target has been read, and the chunks still outstanding are cancelled.
+    The fake pool runs a chunk only when its result is read."""
+    events, outstanding, peak, futures = [], set(), [], []
+
+    class LazyFuture(Future):
+        def __init__(self, lo, fn, args):
+            super().__init__()
+            self.lo, self.fn, self.args = lo, fn, args
+
+        def result(self, timeout=None):
+            events.append(("take", self.lo))
+            outstanding.discard(self)
+            self.set_result(self.fn(*self.args))
+            return super().result(timeout)
+
+        def cancel(self):
+            outstanding.discard(self)
+            return super().cancel()
+
+    class LazyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = LazyFuture(args[3], fn, args)
+            events.append(("submit", fut.lo))
+            outstanding.add(fut)
+            peak.append(len(outstanding))
+            futures.append(fut)
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    spec = rm_code(2, 5)
+    ch = ChannelConfig(2.0, spec.rate, seed=5)
+    serial = run_mc(spec, Sc(), ch, frames=12 * 256, target_errors=100)
+    rec = run_mc(spec, Sc(), ch, frames=12 * 256, target_errors=100, workers=3)
+    assert _counts(rec) == _counts(serial) and rec.stopped_by == "target"
+    last = (rec.frames - 1) // 256 * 256  # the chunk that reaches the target
+    assert 0 < last < 12 * 256 - 5 * 256
+    assert max(peak) == 5
+    taken = [lo for kind, lo in events if kind == "take"]
+    assert taken == list(range(0, last + 1, 256))
+    assert events.index(("take", last)) > max(
+        i for i, (kind, _) in enumerate(events) if kind == "submit")
+    assert [f.lo for f in futures] == list(range(0, last + 5 * 256, 256))
+    assert not outstanding
+    assert [f.cancelled() for f in futures] == [f.lo > last for f in futures]
+
+
 def test_run_mc_error_target_is_frame_exact():
     spec = rm_code(2, 5)
     ch = ChannelConfig(1.0, spec.rate, seed=12)
@@ -343,7 +402,7 @@ def test_plain_decoder_is_an_ensemble_of_one(decoder):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 1, 2**128,
-                                  2**130 + 5, (3 << 32) + 4 + 1])
+                                  2**130 + 5, (3 << 32) + 4 + 1, 2**200 + 3])
 @pytest.mark.parametrize("lo,hi", [(0, 4), (9, 10), (2**32 - 2, 2**32 + 2),
                                    (2**40 + 7, 2**40 + 9), (2**64 - 2, 2**64)])
 def test_stream_states_equal_seedsequence_states(seed, lo, hi):
@@ -611,6 +670,27 @@ def test_run_mc_parameter_validation():
     from aedcodes import polar_code
     with pytest.raises(ValueError):
         run_mc(polar_code(2, np.ones(4, bool)), Sc(), ChannelConfig(2.0, 0.5))
+
+
+def test_run_mc_refuses_unusable_budgets_and_targets_before_any_chunk(monkeypatch):
+    """A frame budget is an integer >= 1 and an error target an integer
+    >= 0; a bool is neither, and a refusal comes before any chunk runs."""
+    spec = rm_code(2, 4)
+    ch = ChannelConfig(2.0, spec.rate)
+    rec = run_mc(spec, Sc(), ch, frames=np.int64(3), target_errors=np.int32(1))
+    assert rec.frames <= 3
+
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(simulation, "_eval_chunk", no_chunk)
+    for bad in (True, False, 2.5, 0.0, "3"):
+        with pytest.raises(TypeError, match="frame budget must be an integer"):
+            run_mc(spec, Sc(), ch, frames=bad, target_errors=None)
+        with pytest.raises(TypeError, match="target_errors must be an integer"):
+            run_mc(spec, Sc(), ch, frames=10, target_errors=bad)
+    with pytest.raises(ValueError, match="frame budget must be >= 1, got -3"):
+        run_mc(spec, Sc(), ch, frames=-3, target_errors=None)
 
 
 @pytest.mark.parametrize("r,m,size,subgroup,message", [
