@@ -4,12 +4,12 @@ All three decoders share the same LLR kernel primitives and the same graph
 layout: stage ``s`` pairs indices ``i`` and ``i + 2**s`` inside blocks of
 ``2**(s+1)``, so a length-N vector reshaped to ``(-1, 2, 2**s)`` exposes the
 upper/lower ports of every processing element as contiguous views.
-SC and BP keep their LLR workspaces batch-last, so that a node half or a
-stage slice is one contiguous run of batch values, and SC reads its
-channel stage as the view llrs.T of the caller's rows when they have its
-dtype (float64, or float32 in run_mc; see sc_decode_batch).  SCL keeps its
-workspaces batch-first, one row per path, because it gathers paths by
-row, and reads the channel stage per frame, never copied per path.
+All three keep their LLR workspaces batch-last, so that a node half or a
+stage slice is one contiguous run of batch values (SCL's batch is its
+paths, which it gathers by column with take), and SC and SCL read their
+channel stage as a view of llrs.T: SC when the caller's rows have its
+dtype (float64, or float32 in run_mc; see sc_decode_batch), SCL per
+frame, broadcast to its paths and never copied per path.
 
 SC and SCL walk the same node schedule (_sc_schedule): a rate-0 node (all
 leaves frozen), a rate-1 node (no leaf frozen) and a repetition node (only
@@ -418,64 +418,65 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
     (_decide).  list_size=1 reproduces sc_decode_batch, away from ties of a
     repetition node's two metrics.
 
-    Runs on F*L path rows, frame f's L paths in rows f*L .. f*L+L-1.
-    Stage s < m has an LLR workspace of 2**s columns, and the last left
-    child decoded at stage s leaves its codeword in bits[s].  Each has a
-    row map from path to stored row: a node's forks compose the maps once
-    and copy no data, a read gathers a stage through its map, and a write
-    replaces all of its rows.  The channel stage is the caller's (F, N)
-    rows, read per frame and never copied per path (its f-update runs per
-    frame, its g-update broadcasts against each path's bits), unless the
-    whole code is one rate-0, rate-1 or repetition node.  Path bits
-    are not stored: u = polar_transform(x).  Unused slots start at metric
-    +inf and are displaced as soon as real forks appear.
+    Runs batch-last, like SC, on F*L path columns: frame f's L paths are
+    columns f*L .. f*L+L-1 of stage s < m's (2**s, F*L) LLR workspace, and
+    of bits[s], where the last left child decoded at stage s leaves its
+    codeword.  Each has a column map from path to stored column: a node's
+    forks compose the maps once and copy no data, a read gathers a stage
+    through its map with take (on the narrow stages most reads fall on, a
+    quarter to a half of a fancy-index gather's cost), and a write
+    replaces all of its columns.  The channel stage is the view
+    llrs.T[:, :, None], (N, F, 1), which broadcasts against a stage viewed
+    as (2**s, F, L): its f-update runs once per frame and is copied to the
+    frame's paths, its g-update broadcasts against each path's bits, and
+    only a code that is one rate-0, rate-1 or repetition node copies it
+    per path.  Path bits are not stored: u = polar_transform(x).  Unused
+    slots start at metric +inf and are displaced as soon as real forks
+    appear.
     """
     check_count("list_size", list_size)
     llrs = np.ascontiguousarray(llrs, dtype=np.float64)
     _check_rows(spec, llrs)
     fsz, n = llrs.shape
     m, lsize = spec.m, list_size
-    rows = fsz * lsize
+    cols = fsz * lsize
     forks = _Forks(fsz, lsize)
-    llr_ws = [np.empty((rows, 1 << s)) for s in range(m)]
+    llr_ws = [np.empty((1 << s, cols)) for s in range(m)]
     bits = [None] * m
-    # row maps, None where path row i is stored row i.  A fork only
-    # permutes rows within a frame, so path row r always belongs to frame
-    # r // L, and a stage reshaped to (F, L, 2**s) lines up with llrs[:, None]
+    # column maps, None where path column i is stored column i.  A fork
+    # only permutes columns within a frame, so path column c always belongs
+    # to frame c // L, and a stage viewed as (2**s, F, L) lines up with llrs.T
     llr_map = [None] * m
     bits_map = [None] * m
 
     def read(ws, maps, s):
         if maps[s] is not None:
-            ws[s], maps[s] = ws[s][maps[s]], None
+            ws[s], maps[s] = ws[s].take(maps[s], axis=1), None
         return ws[s]
 
     def by_frame(stage):
-        return stage.reshape(fsz, lsize, stage.shape[1])
+        return stage.reshape(len(stage), fsz, lsize)
 
     pm = np.full((fsz, lsize), np.inf)
     pm[:, 0] = 0.0
     for op, s, lo, mid, hi in _sc_schedule(spec.frozen.tobytes(), True):
         h = mid - lo
         if op == _F or op == _G:
-            # the channel stage is one row per frame, broadcast to its paths
-            node = llrs[:, None] if s == m else by_frame(read(llr_ws, llr_map, s))
+            node = llrs.T[:, :, None] if s == m else by_frame(read(llr_ws, llr_map, s))
             out, llr_map[s - 1] = by_frame(llr_ws[s - 1]), None
             if op == _G:
-                _g_update(node[..., :h], node[..., h:],
-                          by_frame(read(bits, bits_map, s - 1)), out)
+                _g_update(node[:h], node[h:], by_frame(read(bits, bits_map, s - 1)), out)
             elif s == m:  # a frame's paths are all one path here
-                _boxplus_into(node[..., :h], node[..., h:], out[:, :1])
-                out[:, 1:] = out[:, :1]
+                np.copyto(out, _boxplus_into(node[:h], node[h:], np.empty((h, fsz, 1))))
             else:
-                _boxplus_into(node[..., :h], node[..., h:], out)
+                _boxplus_into(node[:h], node[h:], out)
             continue
         if op == _COMBINE:
-            x = np.empty((rows, 2 * h), np.uint8)
-            np.bitwise_xor(read(bits, bits_map, s - 1), right, out=x[:, :h])
-            x[:, h:] = right
+            x = np.empty((2 * h, cols), np.uint8)
+            np.bitwise_xor(read(bits, bits_map, s - 1), right, out=x[:h])
+            x[h:] = right
         else:  # a code that is one such node repeats its channel per path
-            alpha = np.repeat(llrs, lsize, axis=0) if s == m else read(llr_ws, llr_map, s)
+            alpha = np.repeat(llrs.T, lsize, axis=1) if s == m else read(llr_ws, llr_map, s)
             pm, x, sel = _decide(op, alpha, pm, forks)
             for t in range(s, m) if sel is not None else ():
                 # compose the maps of what is read again: from stage s up,
@@ -483,23 +484,23 @@ def scl_decode_batch(spec: CodeSpec, llrs: np.ndarray, list_size: int
                 # node at stage t + 1 whose right child is still to come
                 maps, t = (bits_map, t) if lo >> t & 1 else (llr_map, t + 1)
                 if t < m:
-                    maps[t] = sel if maps[t] is None else maps[t][sel]
+                    maps[t] = sel if maps[t] is None else maps[t].take(sel)
         if s < m and lo >> s & 1:
             right = x
         elif s < m:
             bits[s], bits_map[s] = x, None
 
     order = np.argsort(pm, axis=1, kind="stable")
-    x_srt = x[(forks.base + order).ravel()].reshape(fsz, lsize, n)
+    x_srt = x.take((forks.base + order).ravel(), axis=1).T.reshape(fsz, lsize, n)
     return polar_transform(x_srt), x_srt, np.take_along_axis(pm, order, axis=1)
 
 
 def _fold(v):
-    """Sum over the last axis, of power-of-two length, by halving sums."""
-    while v.shape[-1] > 1:
-        h = v.shape[-1] >> 1
-        v = v[..., :h] + v[..., h:]
-    return v[..., 0]
+    """Sum over the first axis, of power-of-two length, by halving sums."""
+    while len(v) > 1:
+        h = len(v) >> 1
+        v = v[:h] + v[h:]
+    return v[0]
 
 
 class _Forks:
@@ -508,62 +509,70 @@ class _Forks:
 
     def __init__(self, fsz: int, lsize: int):
         paths = np.arange(fsz * lsize).reshape(fsz, lsize)
-        self.base = paths[:, :1]  # each frame's first path row
-        self.row = np.concatenate([paths, paths], axis=1).ravel()
+        self.base = paths[:, :1]  # each frame's first path column
+        self.path = np.concatenate([paths, paths], axis=1).ravel()
         self.second = np.arange(2 * fsz * lsize) % (2 * lsize) >= lsize
 
     def keep(self, first, second):
         """Keep the best L candidates of each frame, by metrics first and
         second (F, L) in a stable sort (a tie keeps the first).  Returns
-        their metrics in order, the row each extends and whether it is
-        that row's second."""
+        their metrics in order, the path column each extends and whether
+        it is that path's second."""
         cand = np.concatenate([first, second], axis=1)
         taken = cand.argsort(axis=1, kind="stable")[:, :first.shape[1]] + 2 * self.base
         flat = taken.ravel()
-        return cand.ravel()[taken], self.row[flat], self.second[flat]
+        return cand.take(taken), self.path.take(flat), self.second.take(flat)
 
 
-_NEG_POS = np.array([-1.0, 1.0])[:, None, None]
+_NEG_POS = np.array([[-1.0], [1.0]])
 
 
 def _decide(op, alpha, pm, forks):
-    """Decide a node whole from its path LLRs alpha (F*L, N_v) and path
-    metrics pm (F, L); returns the new metrics, the path codewords and, if
-    it forked, the row each path extends.  Sums over a node are halving
-    folds.  A rate-0 node adds sum_j ln(1 + e^-alpha_j); a repetition node
-    gives each path its two codewords; a rate-1 node adds
+    """Decide a node whole from its path LLRs alpha (N_v, F*L), a column
+    per path, and path metrics pm (F, L); returns the new metrics, the
+    path codewords (N_v, F*L) and, if it forked, the column each path
+    extends.  Sums over a node are halving folds; gathers are takes.  A
+    rate-0 node adds sum_j ln(1 + e^-alpha_j); a repetition node gives
+    each path its two codewords; a rate-1 node adds
     sum_j ln(1 + e^-|alpha_j|), takes the hard decision and forks
     min(L - 1, N_v) times on its least reliable bits in turn, a flip of
     bit j costing |alpha_j| more, as ln(1 + e^a) - ln(1 + e^-a) = a
-    (Hashemi, Condo and Gross, IEEE TSP 2017)."""
-    shape, (rows, nv) = pm.shape, alpha.shape
+    (Hashemi, Condo and Gross, IEEE TSP 2017).  From the second fork on,
+    pm ascends per frame as keep sorted it, so a fork in which no flip
+    beats its frame's last metric would keep the paths as they are, as
+    would every later one, whose flips cost no less: the forks stop there."""
+    shape, (nv, cols) = pm.shape, alpha.shape
     mag = np.abs(alpha)
     corr = np.log1p(np.exp(-mag))  # ln(1 + e^-|alpha|)
     if op != _RATE1:  # the penalties of x = 0 and x = 1, folded at once
-        pen = np.maximum(alpha * _NEG_POS, 0.0)
-        pen += corr
+        pen = np.maximum(alpha[:, None] * _NEG_POS, 0.0)
+        pen += corr[:, None]
         pen = _fold(pen).reshape((2,) + shape)
         if op == _RATE0:
-            return pm + pen[0], np.zeros((rows, nv), np.uint8), None
-        pm, row, one = forks.keep(pm + pen[0], pm + pen[1])
-        return pm, np.repeat(one.view(np.uint8)[:, None], nv, axis=1), row
+            return pm + pen[0], np.zeros((nv, cols), np.uint8), None
+        pm, col, one = forks.keep(pm + pen[0], pm + pen[1])
+        return pm, np.repeat(one.view(np.uint8)[None], nv, axis=0), col
     pm = pm + _fold(corr).reshape(shape)
     x = alpha < 0
     nflips = min(shape[1] - 1, nv)
     if not nflips:
         return pm, x.view(np.uint8), None
-    pos = np.argsort(mag, axis=1, kind="stable")[:, :nflips]
-    cost = np.sort(mag, axis=1)[:, :nflips].T.copy()  # cost[t] of each row
-    origin = np.arange(rows)  # the row of alpha each path extends
-    flips = np.zeros((rows, nflips), bool)
+    pos = np.argsort(mag, axis=0, kind="stable")[:nflips]
+    at = np.arange(cols)
+    cost = mag.take(pos * cols + at)  # cost[t] of each column, ascending in t
+    origin = at  # the column of alpha each path extends
+    flips = np.zeros((nflips, cols), bool)
     for t in range(nflips):
-        pm, row, flip = forks.keep(pm, pm + cost[t][origin].reshape(shape))
-        origin, flips = origin[row], flips[row]
-        flips[:, t] = flip
-        if not flip.any():  # then no later fork is taken: its flips cost no less
+        second = pm + cost[t].take(origin).reshape(shape)
+        # the first fork always runs: pm is unsorted, and keep sorts it
+        if t and not (second.min(axis=1) < pm[:, -1]).any():
             break
-    x = x[origin]
-    x[np.arange(rows)[:, None], pos[origin]] ^= flips
+        pm, col, flip = forks.keep(pm, second)
+        origin, flips = origin.take(col), flips.take(col, axis=1)
+        flips[t] = flip
+    x = x.take(origin, axis=1)
+    flat = pos.take(origin, axis=1) * cols + at  # the index of each flip in x
+    x.put(flat, x.take(flat) ^ flips)
     return pm, x.view(np.uint8), origin
 
 

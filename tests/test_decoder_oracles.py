@@ -375,6 +375,32 @@ def test_scl_matches_node_order_reference(r, m, list_size):
             assert np.array_equal(a, b), (name, list_size)
 
 
+def tie_inputs(spec, rows, rng):
+    """(name, llrs) full of exact ties between path metrics: integers in
+    -2..2, all-zero rows with -0.0 among their zeros, +-L_MAX, and a mix
+    of all three."""
+    shape = (rows, spec.n)
+    mixed = [-L_MAX, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, L_MAX]
+    return [("integers", rng.integers(-2, 3, shape).astype(np.float64)),
+            ("zeros", np.where(rng.random(shape) < 0.5, -0.0, 0.0)),
+            ("saturated", L_MAX * rng.choice([-1.0, 1.0], shape)),
+            ("mixed", rng.choice(mixed, shape))]
+
+
+@pytest.mark.parametrize("r,m", [(0, 3), (1, 3), (2, 5), (3, 7), (4, 8)])
+@pytest.mark.parametrize("list_size", [2, 3, 8, 32])
+def test_scl_matches_node_order_reference_on_ties(r, m, list_size):
+    # ties decide which candidate a fork keeps (the first), and whether a
+    # rate-1 node forks again at all
+    spec = rm_code(r, m)
+    rng = np.random.default_rng(83 + m + list_size)
+    for name, llrs in tie_inputs(spec, 8, rng):
+        got = scl_decode_batch(spec, llrs, list_size)
+        want = node_order_scl(spec, llrs, list_size)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b), (name, list_size)
+
+
 def test_scl_matches_node_order_reference_on_other_codes():
     rng = np.random.default_rng(80)
     for spec in oracle_codes():

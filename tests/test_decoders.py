@@ -16,7 +16,8 @@ from aedcodes import (L_MAX, Bp, Sc, Scl, boxplus, bp_decode_batch,
                       rm_code, sample, sc_decode_batch, scl_decode_batch,
                       polar_transform)
 from aedcodes import decoders
-from aedcodes.decoders import CHUNK_ROWS, _boxplus_into, _g_update, _ScPlan
+from aedcodes.decoders import (CHUNK_ROWS, _boxplus_into, _Forks, _g_update,
+                               _ScPlan)
 from test_decoder_oracles import leaf_order_sc, random_decreasing
 from test_pinned_sc import pinned_batch
 
@@ -332,10 +333,10 @@ def test_scl_holds_no_per_path_copy_of_its_input():
     # kernel holds the LLR workspaces of stages 0..m-1, (N-1)/N, and the
     # uint8 codewords of left children and of the node being combined,
     # about 0.2.  At its peak one of 0.5 more: the second copy of stage m-1
-    # that a read through its row map gathers, the two quarter-stage
+    # that a read through its column map gathers, the two quarter-stage
     # temporaries of the f-update out of it, or the sign lookup's intp
     # index in the g-update into it.  That is about 1.7 units (tracemalloc
-    # reads 1.71).  A per-path copy of the channel stage would add 1, and
+    # reads 1.67).  A per-path copy of the channel stage would add 1, and
     # float sign arrays about 0.5.
     spec = rm_code(4, 8)
     fsz, lsize = 64, 32
@@ -465,6 +466,34 @@ def test_scl_doubling_never_hurts_best_metric():
         _, _, pm_small = scl_decode_batch(spec, llrs, lsize)
         _, _, pm_big = scl_decode_batch(spec, llrs, 2 * lsize)
         assert np.all(pm_big[:, 0] <= pm_small[:, 0] + 1e-12)
+
+
+def test_forks_keep_is_a_stable_sort_that_keeps_a_sorted_list_as_it_is():
+    # keep takes each frame's L least of (metric, second?, path) and returns
+    # them ascending, so a second tied with a first loses; on a sorted first
+    # whose seconds cost at least its frame's last metric it changes
+    # nothing, which lets SCL's rate-1 forks stop without calling it
+    rng = np.random.default_rng(20)
+    fsz, lsize = 6, 4
+    forks = _Forks(fsz, lsize)
+    base = np.arange(fsz)[:, None] * lsize
+    levels = np.array([0.0, 1.0, 2.0, 3.0, np.inf])  # integers tie often
+    for _ in range(200):
+        first, second = levels[rng.integers(0, 5, (2, fsz, lsize))]
+        pm, path, is_second = forks.keep(first, second)
+        path, is_second = path.reshape(fsz, lsize), is_second.reshape(fsz, lsize)
+        assert np.all(pm[:, :-1] <= pm[:, 1:])
+        for f in range(fsz):
+            cand = sorted([(v, 0, i) for i, v in enumerate(first[f])]
+                          + [(v, 1, i) for i, v in enumerate(second[f])])[:lsize]
+            assert pm[f].tolist() == [v for v, _, _ in cand]
+            assert is_second[f].tolist() == [bool(s) for _, s, _ in cand]
+            assert (path[f] - base[f]).tolist() == [i for _, _, i in cand]
+        first.sort(axis=1)
+        second = first[:, -1:] + levels[rng.integers(0, 5, (fsz, lsize))]
+        pm, path, is_second = forks.keep(first, second)
+        assert np.array_equal(pm, first) and not is_second.any()
+        assert np.array_equal(path.reshape(fsz, lsize), base + np.arange(lsize))
 
 
 def test_scl_short_code_pads_with_unused_slots():
